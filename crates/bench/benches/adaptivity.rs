@@ -106,7 +106,7 @@ fn lazy_vs_eager(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         );
     });
-    group.bench_function("lazy_step_100_blocks", |b| {
+    group.bench_function("lazy_batch_100_blocks", |b| {
         b.iter_batched(
             || {
                 let mut cluster = build();
@@ -114,7 +114,7 @@ fn lazy_vs_eager(c: &mut Criterion) {
                 cluster
             },
             |mut cluster| {
-                black_box(cluster.migrate_step(100).unwrap());
+                black_box(cluster.migrate_batch(100).unwrap());
             },
             criterion::BatchSize::LargeInput,
         );

@@ -3,10 +3,9 @@
 //!
 //! Three measurements on the rebalance engine:
 //!
-//! 1. **Migration drain** — blocks/s to drain a lazy single-device add,
-//!    `migrate_step` (serial, one block at a time) vs `migrate_batch`
-//!    with one worker ("planned": batched diffing, skip-unchanged) vs
-//!    `migrate_batch` with all cores ("parallel").
+//! 1. **Migration drain** — blocks/s to drain a lazy single-device add
+//!    through `migrate_batch` ("planned": batched diffing,
+//!    skip-unchanged, zero-copy moves of the changed shards).
 //! 2. **Planner engine sweep** — `plan_add_device` throughput with the
 //!    `fast_strategy_threshold` knob forcing the O(k) fast engine vs the
 //!    O(n) scan, on the same cluster.
@@ -29,12 +28,11 @@ use rshare_vds::{MigrationPlan, Redundancy, StorageCluster};
 const REPS: usize = 3;
 
 /// Devices in the drain cluster — above the fast-placement threshold, so
-/// both the serial and batched paths query the O(k) engine and the
-/// comparison isolates the per-block orchestration overhead.
+/// placement queries go through the O(k) engine.
 const DEVICES: u64 = 96;
 
-/// Blocks drained per `migrate_step`/`migrate_batch` call: both paths pay
-/// the same incremental-call cadence.
+/// Blocks drained per `migrate_batch` call: the incremental-call cadence
+/// of a lazy migration.
 const BUDGET: u64 = 2_048;
 
 const BLOCK_SIZE: usize = 64;
@@ -64,11 +62,10 @@ struct Ratio {
     blocks_total: u64,
 }
 
-fn drain_cluster(blocks: u64, threads: usize) -> StorageCluster {
+fn drain_cluster(blocks: u64) -> StorageCluster {
     let mut b = StorageCluster::builder()
         .block_size(BLOCK_SIZE)
-        .redundancy(Redundancy::Mirror { copies: 2 })
-        .migration_threads(threads);
+        .redundancy(Redundancy::Mirror { copies: 2 });
     for id in 0..DEVICES {
         b = b.device(id, 40_000 + id * 500);
     }
@@ -82,45 +79,33 @@ fn drain_cluster(blocks: u64, threads: usize) -> StorageCluster {
 
 /// Capacity of the lazily added device in the drain benchmark. Small on
 /// purpose — incremental expansion — so most pending blocks are
-/// *unchanged* and the drain measures how cheaply each path can verify
-/// and skip a block (the planner's bulk diff vs the serial per-block
-/// placement-cache probes).
+/// *unchanged* and the drain mostly measures how cheaply the planner's
+/// bulk diff can verify and skip a block.
 const DRAIN_ADD_CAPACITY: u64 = 4_000;
 
-/// Blocks/s to drain a lazy small-device add, per mode.
+/// Blocks/s to drain a lazy small-device add through `migrate_batch`.
 fn bench_drain(blocks: u64, cells: &mut Vec<Cell>) {
-    let modes: [(&'static str, usize, bool); 3] = [
-        ("serial", 1, false),  // migrate_step, one block at a time
-        ("planned", 1, true),  // migrate_batch, single worker
-        ("parallel", 0, true), // migrate_batch, all cores
-    ];
-    for (mode, threads, batched) in modes {
-        let mut best = u128::MAX;
-        for _ in 0..REPS {
-            // Setup outside the timed region: the drain itself is timed.
-            let mut c = drain_cluster(blocks, threads);
-            let pending = c
-                .add_device_lazy(DEVICES, DRAIN_ADD_CAPACITY)
-                .expect("lazy add");
-            assert_eq!(pending, blocks);
-            let start = Instant::now();
-            while c.pending_blocks() > 0 {
-                if batched {
-                    black_box(c.migrate_batch(BUDGET).expect("migrate_batch"));
-                } else {
-                    black_box(c.migrate_step(BUDGET).expect("migrate_step"));
-                }
-            }
-            best = best.min(start.elapsed().as_nanos());
+    let mut best = u128::MAX;
+    for _ in 0..REPS {
+        // Setup outside the timed region: the drain itself is timed.
+        let mut c = drain_cluster(blocks);
+        let pending = c
+            .add_device_lazy(DEVICES, DRAIN_ADD_CAPACITY)
+            .expect("lazy add");
+        assert_eq!(pending, blocks);
+        let start = Instant::now();
+        while c.pending_blocks() > 0 {
+            black_box(c.migrate_batch(BUDGET).expect("migrate_batch"));
         }
-        cells.push(Cell {
-            bench: "migration_drain",
-            mode,
-            items: blocks,
-            unit: "blocks",
-            elapsed_ns: best,
-        });
+        best = best.min(start.elapsed().as_nanos());
     }
+    cells.push(Cell {
+        bench: "migration_drain",
+        mode: "planned",
+        items: blocks,
+        unit: "blocks",
+        elapsed_ns: best,
+    });
 }
 
 /// `plan_add_device` throughput with the placement engine pinned either
@@ -257,9 +242,7 @@ fn to_json(cells: &[Cell], ratios: &[Ratio], smoke: bool, blocks: u64) -> String
     s.push_str(",\n");
     let max_ratio = ratios.iter().map(|r| r.ratio).fold(0.0f64, f64::max);
     s.push_str(&format!(
-        "  \"summary\": {{\"planned_vs_serial_speedup\": {:.2}, \"parallel_vs_serial_speedup\": {:.2}, \"fast_vs_scan_plan_speedup\": {:.2}, \"max_competitive_ratio\": {:.3}, \"paper_bound\": 4.0}}\n",
-        speedup(cells, "migration_drain", "planned", "serial"),
-        speedup(cells, "migration_drain", "parallel", "serial"),
+        "  \"summary\": {{\"fast_vs_scan_plan_speedup\": {:.2}, \"max_competitive_ratio\": {:.3}, \"paper_bound\": 4.0}}\n",
         speedup(cells, "plan_add", "fast_engine", "scan_engine"),
         max_ratio,
     ));
@@ -268,8 +251,8 @@ fn to_json(cells: &[Cell], ratios: &[Ratio], smoke: bool, blocks: u64) -> String
     s
 }
 
-/// The unified cross-binary records: one throughput entry per cell with
-/// the serial / scan-engine variant as the baseline, plus one ratio entry
+/// The unified cross-binary records: one throughput entry per cell (the
+/// engine sweep with the scan engine as the baseline), plus one ratio entry
 /// per membership change measured against the paper's proven bound of 4.
 fn records(cells: &[Cell], ratios: &[Ratio]) -> Vec<Record> {
     let mut out: Vec<Record> = cells
@@ -281,7 +264,6 @@ fn records(cells: &[Cell], ratios: &[Ratio]) -> Vec<Record> {
                 _ => "plans_per_s",
             };
             let slow = match (c.bench, c.mode) {
-                ("migration_drain", "planned" | "parallel") => Some("serial"),
                 ("plan_add", "fast_engine") => Some("scan_engine"),
                 _ => None,
             };
@@ -353,9 +335,8 @@ fn main() {
     );
 
     println!(
-        "\nspeedups vs serial migrate_step: planned {}x, parallel {}x; max ratio {} (paper bound 4.0)",
-        f(speedup(&cells, "migration_drain", "planned", "serial")),
-        f(speedup(&cells, "migration_drain", "parallel", "serial")),
+        "\nfast vs scan planning {}x; max ratio {} (paper bound 4.0)",
+        f(speedup(&cells, "plan_add", "fast_engine", "scan_engine")),
         f(ratios.iter().map(|r| r.ratio).fold(0.0f64, f64::max)),
     );
 

@@ -51,21 +51,18 @@ const FAST_PLACEMENT_MIN_DEVICES: usize = 64;
 /// calling thread: spawn/join overhead dwarfs the lookups.
 const MIN_READS_PER_THREAD: usize = 64;
 
-/// Blocks per batched-migration chunk. Bounds the transient memory of a
-/// rebalance: at most this many blocks' shard payloads are in flight
-/// between the gather and apply phases.
+/// Blocks per batched-migration chunk: the unit the executor validates
+/// and applies all-or-nothing. Bounds the transient memory of a
+/// rebalance — only the reconstructed groups of one chunk are held
+/// between its two passes.
 const MIGRATION_CHUNK_BLOCKS: usize = 4096;
-
-/// Below this many migrating blocks per worker the gather phase stays on
-/// the calling thread: spawn/join overhead dwarfs the block I/O.
-const MIN_MIGRATE_BLOCKS_PER_THREAD: usize = 32;
 
 /// The placement engine a cluster routes queries through, chosen by
 /// cluster size (see [`ClusterBuilder::fast_strategy_threshold`]).
 ///
 /// Both variants implement the paper's Redundant Share and are equally
 /// fair, but their per-ball placements differ (the fast variant draws its
-/// randomness from precomputed alias tables), so switching variants is a
+/// randomness from precomputed inverse-CDF tables), so switching variants is a
 /// strategy change like any other: the migration machinery diffs old and
 /// new placements and moves what changed.
 enum ClusterStrategy {
@@ -172,7 +169,6 @@ pub struct ClusterBuilder {
     devices: Vec<(u64, u64, DeviceProfile)>,
     placement_cache: bool,
     fast_strategy_threshold: usize,
-    migration_threads: usize,
     metrics: bool,
     metrics_registry: Option<Arc<Registry>>,
 }
@@ -209,15 +205,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn fast_strategy_threshold(mut self, min_devices: usize) -> Self {
         self.fast_strategy_threshold = min_devices;
-        self
-    }
-
-    /// Caps the worker threads batched migration phases may use (default
-    /// 0 = all available cores). `1` forces the batched-but-serial
-    /// executor, the "planned" baseline of the migration benchmark.
-    #[must_use]
-    pub fn migration_threads(mut self, threads: usize) -> Self {
-        self.migration_threads = threads;
         self
     }
 
@@ -310,7 +297,6 @@ impl ClusterBuilder {
             placement_epoch: 0,
             placements_computed: AtomicU64::new(0),
             fast_threshold: self.fast_strategy_threshold,
-            migration_threads: self.migration_threads,
             metrics,
         };
         cluster.strategy = Some(cluster.build_strategy()?);
@@ -343,14 +329,12 @@ pub struct StorageCluster {
     /// Minimum online-device count for the fast placement engine
     /// ([`ClusterBuilder::fast_strategy_threshold`]).
     fast_threshold: usize,
-    /// Worker-thread cap for batched migration (0 = all cores).
-    migration_threads: usize,
     /// Metric handles, when recording is enabled. `None` means every hot
     /// path skips instrumentation entirely.
     metrics: Option<ClusterMetrics>,
 }
 
-/// Counters produced by one gather/apply migration execution.
+/// Counters produced by one two-pass migration execution.
 #[derive(Default)]
 struct ExecOutcome {
     /// Shards whose device changed.
@@ -390,7 +374,6 @@ impl StorageCluster {
             devices: Vec::new(),
             placement_cache: true,
             fast_strategy_threshold: FAST_PLACEMENT_MIN_DEVICES,
-            migration_threads: 0,
             metrics: true,
             metrics_registry: None,
         }
@@ -928,7 +911,7 @@ impl StorageCluster {
 
     /// Adds a device *lazily*: the placement switches immediately, but no
     /// data moves — blocks keep resolving to their old locations until
-    /// they are migrated by [`StorageCluster::migrate_step`] (or rewritten,
+    /// they are migrated by [`StorageCluster::migrate_batch`] (or rewritten,
     /// which completes their migration for free). Returns the number of
     /// blocks awaiting migration.
     ///
@@ -969,87 +952,6 @@ impl StorageCluster {
         Ok(count)
     }
 
-    /// Migrates up to `max_blocks` pending blocks to their target
-    /// placement, returning what moved. With no migration in flight this
-    /// is a no-op reporting zeros.
-    ///
-    /// # Errors
-    ///
-    /// Device I/O errors and [`VdsError::DataLoss`] if a pending block
-    /// became unrecoverable. If a device failed mid-migration the step can
-    /// return [`VdsError::DeviceFailed`]; run [`StorageCluster::rebuild`],
-    /// which absorbs the remaining migration.
-    pub fn migrate_step(&mut self, max_blocks: u64) -> Result<MigrationReport, VdsError> {
-        let mut report = MigrationReport::default();
-        // With nothing in flight, return before setting up any scratch
-        // state — idle callers polling the migration pay nothing.
-        if self.pending.is_none() {
-            return Ok(report);
-        }
-        // Scratch buffers reused across blocks, so a migration step
-        // allocates nothing per block beyond the shard payloads.
-        let mut old_placement: Vec<u64> = Vec::new();
-        let mut shards: Vec<Option<Vec<u8>>> = Vec::new();
-        for _ in 0..max_blocks {
-            let Some(pending) = &mut self.pending else {
-                break;
-            };
-            let Some(&lba) = pending.remaining.iter().next() else {
-                self.pending = None;
-                break;
-            };
-            pending.remaining.remove(&lba);
-            pending.old_strategy.place_ids_into(lba, &mut old_placement);
-            let new_placement = self.target_placement(lba);
-            report.blocks += 1;
-            report.shards_total += new_placement.len() as u64;
-            if old_placement.as_slice() == &*new_placement {
-                continue;
-            }
-            shards.clear();
-            shards.extend(
-                old_placement.iter().enumerate().map(|(i, dev_id)| {
-                    self.devices.get_mut(dev_id).and_then(|d| d.load(&(lba, i)))
-                }),
-            );
-            let missing = shards.iter().filter(|s| s.is_none()).count();
-            if missing > 0 {
-                report.shards_reconstructed += missing as u64;
-                self.reconstruct_group(&mut shards, lba)?;
-            }
-            for (i, slot) in shards.iter_mut().enumerate() {
-                // `reconstruct_group` either fills every `None` slot or
-                // errors out above; a hole here is unreachable.
-                let shard = slot.take().expect("complete after reconstruction");
-                let (old_dev, new_dev) = (old_placement[i], new_placement[i]);
-                if old_dev != new_dev {
-                    report.shards_moved += 1;
-                    if let Some(d) = self.devices.get_mut(&old_dev) {
-                        d.remove(&(lba, i));
-                    }
-                }
-                let target = self
-                    .devices
-                    .get_mut(&new_dev)
-                    .ok_or(VdsError::UnknownDevice { id: new_dev })?;
-                if old_dev != new_dev || !target.has(&(lba, i)) {
-                    target.store((lba, i), shard)?;
-                }
-            }
-        }
-        if let Some(p) = &self.pending {
-            if p.remaining.is_empty() {
-                self.pending = None;
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.migration_moves_executed_total.add(report.shards_moved);
-            m.shards_reconstructed_total
-                .add(report.shards_reconstructed);
-        }
-        Ok(report)
-    }
-
     /// Blocks still awaiting lazy migration.
     #[must_use]
     pub fn pending_blocks(&self) -> u64 {
@@ -1058,23 +960,23 @@ impl StorageCluster {
             .map_or(0, |p| p.remaining.len() as u64)
     }
 
-    /// Migrates up to `max_blocks` pending blocks through the batched
-    /// parallel executor: old and new placements are computed in bulk with
-    /// the stride-k batch API, unchanged blocks are skipped without any
-    /// device I/O, and the changed ones are gathered concurrently (scoped
-    /// threads over `&self`) and applied by per-device writers. The
-    /// bounded budget keeps lazy migration incremental; with no migration
-    /// in flight this is a no-op reporting zeros.
-    ///
-    /// Semantically identical to calling [`StorageCluster::migrate_step`]
-    /// with the same budget — only faster.
+    /// Migrates up to `max_blocks` pending blocks (in ascending address
+    /// order) to their target placement, returning what moved. Old and new
+    /// placements are computed in bulk with the stride-k batch API,
+    /// unchanged blocks are skipped without any device I/O, and each
+    /// moving shard of a complete group is taken from its source and
+    /// handed to its target without a copy. The bounded budget keeps lazy
+    /// migration incremental; with no migration in flight this is a no-op
+    /// reporting zeros.
     ///
     /// # Errors
     ///
     /// Device I/O errors and [`VdsError::DataLoss`] if a pending block
-    /// became unrecoverable. Blocks of a failed chunk stay pending; if a
-    /// device failed mid-migration run [`StorageCluster::rebuild`], which
-    /// absorbs the remaining migration.
+    /// became unrecoverable — e.g. [`VdsError::DeviceFailed`] when a
+    /// target device failed mid-migration. A failed chunk moves nothing:
+    /// its blocks stay pending with every shard where it was, so reads
+    /// keep working; run [`StorageCluster::rebuild`], which absorbs the
+    /// remaining migration.
     pub fn migrate_batch(&mut self, max_blocks: u64) -> Result<MigrationReport, VdsError> {
         let mut report = MigrationReport::default();
         let Some(mut pending) = self.pending.take() else {
@@ -1113,9 +1015,9 @@ impl StorageCluster {
         }
     }
 
-    /// Drains the entire in-flight lazy migration through the batched
-    /// parallel executor ([`StorageCluster::migrate_batch`] without a
-    /// budget). With no migration in flight this is a no-op.
+    /// Drains the entire in-flight lazy migration
+    /// ([`StorageCluster::migrate_batch`] without a budget). With no
+    /// migration in flight this is a no-op.
     ///
     /// # Errors
     ///
@@ -1172,18 +1074,6 @@ impl StorageCluster {
         }
     }
 
-    /// Worker count for a migration phase over `work_items` blocks: the
-    /// configured cap (or every available core), scaled down so each
-    /// worker keeps at least [`MIN_MIGRATE_BLOCKS_PER_THREAD`] blocks.
-    fn worker_threads(&self, work_items: usize) -> usize {
-        let cap = if self.migration_threads > 0 {
-            self.migration_threads
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        };
-        cap.min(work_items / MIN_MIGRATE_BLOCKS_PER_THREAD).max(1)
-    }
-
     /// Migrates one chunk of blocks from their `old_flat` placements (flat
     /// stride-k device ids, parallel to `lbas`) to the current target
     /// strategy. Blocks whose placement is unchanged are skipped without
@@ -1214,7 +1104,7 @@ impl StorageCluster {
                     && new
                         .iter()
                         .enumerate()
-                        .any(|(i, id)| !self.devices.get(id).is_some_and(|d| d.has(&(lba, i)))))
+                        .any(|(i, &id)| !self.holds(id, lba, i)))
             {
                 work.push(j);
             }
@@ -1228,64 +1118,18 @@ impl StorageCluster {
         Ok(report)
     }
 
-    /// Read-only gather for one migrating block: loads the group's shards
-    /// from their `old` devices, reconstructs any missing ones (once per
-    /// stripe), and expands the block into device-level remove/store ops
-    /// against `new`. Takes `&self` — shard payloads are immutable between
-    /// writes and the device I/O counters are atomic — so gathers fan out
-    /// over scoped threads like batched reads do.
-    fn gather_block(&self, lba: u64, old: &[u64], new: &[u64]) -> Result<BlockOps, VdsError> {
-        let mut shards: Vec<Option<Vec<u8>>> = old
-            .iter()
-            .enumerate()
-            .map(|(i, dev_id)| self.devices.get(dev_id).and_then(|d| d.load(&(lba, i))))
-            .collect();
-        let missing = shards.iter().filter(|s| s.is_none()).count() as u64;
-        if missing > 0 {
-            self.reconstruct_group(&mut shards, lba)?;
-        }
-        let mut ops = BlockOps {
-            reconstructed: missing,
-            ..BlockOps::default()
-        };
-        for (i, slot) in shards.iter_mut().enumerate() {
-            // `reconstruct_group` either fills every `None` slot or errors
-            // out above; a hole here is unreachable.
-            let shard = slot.take().expect("complete after reconstruction");
-            let (old_dev, new_dev) = (old[i], new[i]);
-            if old_dev != new_dev {
-                ops.moved += 1;
-                ops.removes.push((old_dev, lba, i));
-                ops.stores.push((new_dev, lba, i, shard));
-            } else if !self.devices.get(&new_dev).is_some_and(|d| d.has(&(lba, i))) {
-                ops.stores.push((new_dev, lba, i, shard));
-            }
-        }
-        Ok(ops)
+    /// Whether device `dev` exists, is online and holds shard `copy` of
+    /// block `lba`.
+    fn holds(&self, dev: u64, lba: u64, copy: usize) -> bool {
+        self.devices.get(&dev).is_some_and(|d| d.has(&(lba, copy)))
     }
 
-    /// Applies one device's migration queue: removes first, so freed
-    /// capacity is visible to this plan's own stores on the same device.
-    fn apply_queue(
-        dev: &mut Device,
-        removes: Vec<(u64, usize)>,
-        stores: Vec<(u64, usize, Vec<u8>)>,
-    ) -> Result<(), VdsError> {
-        for (lba, copy) in removes {
-            dev.remove(&(lba, copy));
-        }
-        for (lba, copy, data) in stores {
-            dev.store((lba, copy), data)?;
-        }
-        Ok(())
-    }
-
-    /// The two-phase migration executor. Phase 1 (gather, parallel over
-    /// `&self`): each block in `work` (indices into `lbas`) loads its
-    /// group once, reconstructs what's missing, and emits device-level
-    /// ops. Phase 2 (apply, parallel over disjoint `&mut Device`s): ops
-    /// are bucketed per device and handed to workers sharded by device,
-    /// so no two workers ever touch the same device.
+    /// The single-threaded, two-pass migration executor over the blocks
+    /// in `work` (indices into `lbas`): [`StorageCluster::plan_block_ops`]
+    /// reads and validates the whole chunk, then
+    /// [`StorageCluster::apply_block_ops`] mutates the devices. A chunk
+    /// either moves completely or, on error, leaves every shard where it
+    /// was.
     fn execute_block_ops(
         &mut self,
         lbas: &[u64],
@@ -1293,108 +1137,152 @@ impl StorageCluster {
         old_flat: &[u64],
         new_flat: &[u64],
     ) -> Result<ExecOutcome, VdsError> {
-        let k = self.redundancy.total_shards();
-        let threads = self.worker_threads(work.len());
-        let mut gathered: Vec<Result<BlockOps, VdsError>> = Vec::with_capacity(work.len());
-        {
-            let this: &StorageCluster = self;
-            let gather = |j: usize| {
-                this.gather_block(
-                    lbas[j],
-                    &old_flat[j * k..(j + 1) * k],
-                    &new_flat[j * k..(j + 1) * k],
-                )
-            };
-            if threads <= 1 {
-                gathered.extend(work.iter().map(|&j| gather(j)));
-            } else {
-                let chunk = work.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = work[chunk..]
-                        .chunks(chunk)
-                        .map(|shard| {
-                            scope
-                                .spawn(move || shard.iter().map(|&j| gather(j)).collect::<Vec<_>>())
-                        })
-                        .collect();
-                    // The first shard runs on the calling thread.
-                    gathered.extend(work[..chunk].iter().map(|&j| gather(j)));
-                    for handle in handles {
-                        gathered.extend(handle.join().expect("migration gather panicked"));
-                    }
-                });
-            }
-        }
-        let mut outcome = ExecOutcome::default();
-        type Queue = (Vec<(u64, usize)>, Vec<(u64, usize, Vec<u8>)>);
-        let mut queues: BTreeMap<u64, Queue> = BTreeMap::new();
-        for result in gathered {
-            let ops = result?;
-            outcome.moved += ops.moved;
-            outcome.reconstructed += ops.reconstructed;
-            outcome.stored += ops.stores.len() as u64;
-            for (dev, lba, copy) in ops.removes {
-                queues.entry(dev).or_default().0.push((lba, copy));
-            }
-            for (dev, lba, copy, data) in ops.stores {
-                queues.entry(dev).or_default().1.push((lba, copy, data));
-            }
-        }
-        // Stores must land on a live device; removes tolerate a vanished
-        // one (a shard's old home may already be failed or dropped).
-        for (&dev, (_, stores)) in &queues {
-            if !stores.is_empty() && !self.devices.contains_key(&dev) {
-                return Err(VdsError::UnknownDevice { id: dev });
-            }
-        }
-        let mut bundles: Vec<(&mut Device, Queue)> = self
-            .devices
-            .iter_mut()
-            .filter_map(|(id, d)| queues.remove(id).map(|q| (d, q)))
-            .collect();
-        let threads = threads.min(bundles.len()).max(1);
-        if threads <= 1 {
-            for (dev, (removes, stores)) in bundles {
-                Self::apply_queue(dev, removes, stores)?;
-            }
-        } else {
-            // Longest-queue-first partition, so workers see similar loads.
-            bundles.sort_by_key(|(_, (r, s))| std::cmp::Reverse(r.len() + s.len()));
-            let mut parts: Vec<Vec<(&mut Device, Queue)>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            let mut loads = vec![0usize; threads];
-            for bundle in bundles {
-                let weight = bundle.1 .0.len() + bundle.1 .1.len();
-                let lightest = (0..threads).min_by_key(|&i| loads[i]).expect("non-empty");
-                loads[lightest] += weight;
-                parts[lightest].push(bundle);
-            }
-            let results: Vec<Result<(), VdsError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .into_iter()
-                    .map(|part| {
-                        scope.spawn(move || {
-                            for (dev, (removes, stores)) in part {
-                                Self::apply_queue(dev, removes, stores)?;
-                            }
-                            Ok(())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("migration apply panicked"))
-                    .collect()
-            });
-            for result in results {
-                result?;
-            }
-        }
+        let ops = self.plan_block_ops(lbas, work, old_flat, new_flat)?;
+        // Every shard whose device changed is either a move of a complete
+        // group or a remove of an incomplete one.
+        let outcome = ExecOutcome {
+            moved: (ops.moves.len() + ops.removes.len()) as u64,
+            reconstructed: ops.reconstructed,
+            stored: (ops.moves.len() + ops.stores.len()) as u64,
+        };
+        self.apply_block_ops(ops)?;
         if let Some(m) = &self.metrics {
             m.migration_moves_executed_total.add(outcome.moved);
             m.shards_reconstructed_total.add(outcome.reconstructed);
         }
         Ok(outcome)
+    }
+
+    /// First, read-only pass: expands every block in `work` into device
+    /// operations against `new_flat`. A group complete at its `old_flat`
+    /// locations becomes a list of shard moves — nothing is read yet, and
+    /// shards that stay put are never touched. A group missing a shard is
+    /// gathered and reconstructed (once per stripe) into owned stores.
+    /// Finally every store target must exist, be online and have room
+    /// once the chunk's removes are done; any error here precedes every
+    /// device mutation.
+    fn plan_block_ops(
+        &self,
+        lbas: &[u64],
+        work: &[usize],
+        old_flat: &[u64],
+        new_flat: &[u64],
+    ) -> Result<BlockOps, VdsError> {
+        let k = self.redundancy.total_shards();
+        let mut ops = BlockOps::default();
+        // Per device: (shards this chunk frees, shards it lands).
+        let mut room: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(k);
+        for &j in work {
+            let lba = lbas[j];
+            let old = &old_flat[j * k..(j + 1) * k];
+            let new = &new_flat[j * k..(j + 1) * k];
+            if old
+                .iter()
+                .enumerate()
+                .all(|(i, &id)| self.holds(id, lba, i))
+            {
+                for (copy, (&from, &to)) in old.iter().zip(new).enumerate() {
+                    if from != to {
+                        room.entry(from).or_default().0 += 1;
+                        if !self.holds(to, lba, copy) {
+                            room.entry(to).or_default().1 += 1;
+                        }
+                        ops.moves.push(ShardMove {
+                            lba,
+                            copy,
+                            from,
+                            to,
+                        });
+                    }
+                }
+                continue;
+            }
+            shards.clear();
+            shards.extend(
+                old.iter()
+                    .enumerate()
+                    .map(|(i, id)| self.devices.get(id).and_then(|d| d.load(&(lba, i)))),
+            );
+            ops.reconstructed += shards.iter().filter(|s| s.is_none()).count() as u64;
+            self.reconstruct_group(&mut shards, lba)?;
+            for (copy, slot) in shards.iter_mut().enumerate() {
+                let (from, to) = (old[copy], new[copy]);
+                if from != to {
+                    if self.holds(from, lba, copy) {
+                        room.entry(from).or_default().0 += 1;
+                    }
+                    ops.removes.push((from, lba, copy));
+                }
+                if !self.holds(to, lba, copy) {
+                    room.entry(to).or_default().1 += 1;
+                } else if from == to {
+                    continue;
+                }
+                // `reconstruct_group` either fills every `None` slot or
+                // errors out above; a hole here is unreachable.
+                let shard = slot.take().expect("complete after reconstruction");
+                ops.stores.push((to, lba, copy, shard));
+            }
+        }
+        for (&id, &(freed, landing)) in &room {
+            if landing == 0 {
+                continue;
+            }
+            let dev = self
+                .devices
+                .get(&id)
+                .ok_or(VdsError::UnknownDevice { id })?;
+            if dev.state() == DeviceState::Failed {
+                return Err(VdsError::DeviceFailed { id });
+            }
+            if dev.used_blocks() + landing > dev.capacity_blocks() + freed {
+                return Err(VdsError::OutOfSpace { id });
+            }
+        }
+        Ok(ops)
+    }
+
+    /// Second pass: carries out `ops` as [`StorageCluster::plan_block_ops`]
+    /// validated them. Every take and remove runs before the first store,
+    /// so the room the first pass counted on is free when the stores
+    /// land; a moved shard's payload goes from source to target as the
+    /// same allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`VdsError::Internal`] or the store's error only if the first
+    /// pass's checks were broken — never for a validated chunk.
+    fn apply_block_ops(&mut self, ops: BlockOps) -> Result<(), VdsError> {
+        let BlockOps {
+            moves,
+            removes,
+            mut stores,
+            ..
+        } = ops;
+        stores.reserve(moves.len());
+        for mv in moves {
+            let payload = self
+                .devices
+                .get_mut(&mv.from)
+                .and_then(|d| d.take(&(mv.lba, mv.copy)))
+                .ok_or(VdsError::Internal {
+                    reason: "migration source lost a shard between the two passes",
+                })?;
+            stores.push((mv.to, mv.lba, mv.copy, payload));
+        }
+        for (dev, lba, copy) in removes {
+            if let Some(d) = self.devices.get_mut(&dev) {
+                d.remove(&(lba, copy));
+            }
+        }
+        for (dev, lba, copy, payload) in stores {
+            self.devices
+                .get_mut(&dev)
+                .ok_or(VdsError::UnknownDevice { id: dev })?
+                .store((lba, copy), payload)?;
+        }
+        Ok(())
     }
 
     /// Gracefully removes a device, migrating its shards away first.
@@ -1483,7 +1371,7 @@ impl StorageCluster {
             let missing = placement
                 .iter()
                 .enumerate()
-                .filter(|(i, dev_id)| !self.devices.get(dev_id).is_some_and(|d| d.has(&(lba, *i))))
+                .filter(|&(i, &dev_id)| !self.holds(dev_id, lba, i))
                 .count();
             if missing > 0 {
                 degraded += 1;
@@ -1533,7 +1421,7 @@ impl StorageCluster {
                 let degraded = flat[j * k..(j + 1) * k]
                     .iter()
                     .enumerate()
-                    .any(|(i, id)| !self.devices.get(id).is_some_and(|d| d.has(&(lba, i))));
+                    .any(|(i, &id)| !self.holds(id, lba, i));
                 if degraded {
                     work.push(j);
                 }
@@ -1769,7 +1657,7 @@ impl StorageCluster {
                 let missing = flat[j * k..(j + 1) * k]
                     .iter()
                     .enumerate()
-                    .any(|(i, id)| !self.devices.get(id).is_some_and(|d| d.has(&(lba, i))));
+                    .any(|(i, &id)| !self.holds(id, lba, i));
                 if missing {
                     degraded += 1;
                 }
@@ -2553,7 +2441,7 @@ mod tests {
         // Migrate in small steps, reading in between.
         let mut total_moved = 0;
         while c.pending_blocks() > 0 {
-            let report = c.migrate_step(100).unwrap();
+            let report = c.migrate_batch(100).unwrap();
             total_moved += report.shards_moved;
             let probe = (c.pending_blocks() * 7) % 1_200;
             assert_eq!(c.read_block(probe).unwrap(), block(probe as u8, 64));
@@ -2562,7 +2450,7 @@ mod tests {
         assert!(c.device(9).unwrap().used_blocks() > 0);
         assert_eq!(c.scrub().unwrap(), 0);
         // Idempotent when drained.
-        let report = c.migrate_step(10).unwrap();
+        let report = c.migrate_batch(10).unwrap();
         assert_eq!(report.blocks, 0);
     }
 
@@ -2676,7 +2564,7 @@ mod tests {
         // Migrate everything; placements now come from the new strategy and
         // are cacheable — repeated lookups are hits, and still correct.
         while c.pending_blocks() > 0 {
-            c.migrate_step(50).unwrap();
+            c.migrate_batch(50).unwrap();
         }
         let first: Vec<Vec<u64>> = (0..200u64).map(|lba| c.placement(lba)).collect();
         let computed = c.placements_computed();
@@ -2783,54 +2671,122 @@ mod tests {
     }
 
     #[test]
-    fn migrate_batch_matches_migrate_step() {
-        let mut serial = mirror_cluster();
-        let mut batched = StorageCluster::builder()
-            .block_size(64)
-            .redundancy(Redundancy::Mirror { copies: 2 })
-            .migration_threads(2)
-            .device(0, 10_000)
-            .device(1, 10_000)
-            .device(2, 10_000)
-            .device(3, 10_000)
-            .build()
-            .unwrap();
+    fn migrate_batch_honours_budget_and_drains_cleanly() {
+        let mut c = mirror_cluster();
         for lba in 0..1_000u64 {
-            serial.write_block(lba, &block(lba as u8, 64)).unwrap();
-            batched.write_block(lba, &block(lba as u8, 64)).unwrap();
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
         }
-        serial.add_device_lazy(9, 10_000).unwrap();
-        batched.add_device_lazy(9, 10_000).unwrap();
-        let mut serial_report = MigrationReport::default();
-        let mut batched_report = MigrationReport::default();
-        while serial.pending_blocks() > 0 {
-            serial_report.merge(serial.migrate_step(117).unwrap());
-        }
-        while batched.pending_blocks() > 0 {
-            let before = batched.pending_blocks();
-            batched_report.merge(batched.migrate_batch(117).unwrap());
+        let occupancy = |c: &StorageCluster| -> Vec<u64> {
+            c.device_ids()
+                .iter()
+                .map(|&id| c.device(id).unwrap().used_blocks())
+                .collect()
+        };
+        c.add_device_lazy(9, 10_000).unwrap();
+        let mut report = MigrationReport::default();
+        while c.pending_blocks() > 0 {
+            let before = c.pending_blocks();
+            let step = c.migrate_batch(117).unwrap();
             // The budget is honoured: at most 117 blocks per call.
-            assert!(before - batched.pending_blocks() <= 117);
+            assert!(before - c.pending_blocks() <= 117);
+            assert_eq!(step.blocks, before - c.pending_blocks());
+            report.merge(step);
         }
-        assert_eq!(serial_report, batched_report);
-        // Same placements, same bytes, same per-device occupancy.
+        assert_eq!(report.blocks, 1_000);
+        assert_eq!(report.shards_total, 2_000);
+        assert!(report.shards_moved > 0);
+        assert_eq!(report.shards_reconstructed, 0);
+        // Every block reads back its bytes, from the target placement.
         for lba in 0..1_000u64 {
-            assert_eq!(serial.placement(lba), batched.placement(lba));
-            assert_eq!(batched.read_block(lba).unwrap(), block(lba as u8, 64));
+            assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
         }
-        for id in serial.device_ids() {
-            assert_eq!(
-                serial.device(id).unwrap().used_blocks(),
-                batched.device(id).unwrap().used_blocks(),
-                "device {id}"
-            );
+        // Per-device occupancy equals an eager add over the same blocks.
+        let mut eager = mirror_cluster();
+        for lba in 0..1_000u64 {
+            eager.write_block(lba, &block(lba as u8, 64)).unwrap();
         }
-        assert_eq!(batched.scrub().unwrap(), 0);
+        assert_eq!(eager.add_device(9, 10_000).unwrap(), report);
+        assert_eq!(occupancy(&c), occupancy(&eager));
+        assert_eq!(c.scrub().unwrap(), 0);
         // Idempotent when drained.
+        assert_eq!(c.migrate_batch(10).unwrap(), MigrationReport::default());
+    }
+
+    #[test]
+    fn failed_migration_chunk_leaves_every_shard_in_place() {
+        let mut c = mirror_cluster();
+        for lba in 0..1_000u64 {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        c.add_device_lazy(9, 10_000).unwrap();
+        c.fail_device(9).unwrap();
+        let pending = c.pending_blocks();
         assert_eq!(
-            batched.migrate_batch(10).unwrap(),
-            MigrationReport::default()
+            c.migrate_batch(u64::MAX),
+            Err(VdsError::DeviceFailed { id: 9 })
         );
+        // All-or-nothing: nothing was taken from the old locations.
+        assert_eq!(c.pending_blocks(), pending);
+        assert_eq!(c.degraded_block_count(), 0);
+        for lba in 0..1_000u64 {
+            assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
+        }
+        c.rebuild().unwrap();
+        assert_eq!(c.pending_blocks(), 0);
+        for lba in 0..1_000u64 {
+            assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
+        }
+    }
+
+    #[test]
+    fn drain_reconstructs_moving_groups_missing_a_shard() {
+        let mut c = mirror_cluster();
+        for lba in 0..1_000u64 {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        let before: Vec<Vec<u64>> = (0..1_000u64).map(|lba| c.placement(lba)).collect();
+        c.add_device_lazy(9, 10_000).unwrap();
+        // Latent losses on pending blocks, whether or not they move.
+        let lost: Vec<u64> = (0..1_000u64).step_by(25).collect();
+        for &lba in &lost {
+            assert!(c.inject_shard_loss(lba, 1));
+        }
+        let report = c.rebalance().unwrap();
+        // A moving group is reconstructed once and lands complete; an
+        // unmoved one is left for `repair` (the drain does not touch it).
+        let moving = lost
+            .iter()
+            .filter(|&&lba| c.placement(lba) != before[lba as usize])
+            .count() as u64;
+        assert!(moving > 0 && moving < lost.len() as u64);
+        assert_eq!(report.shards_reconstructed, moving);
+        assert_eq!(c.scrub().unwrap(), lost.len() as u64 - moving);
+        for lba in 0..1_000u64 {
+            assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
+        }
+        assert_eq!(c.repair().unwrap(), lost.len() as u64 - moving);
+        assert_eq!(c.scrub().unwrap(), 0);
+    }
+
+    #[test]
+    fn drain_reads_and_writes_only_moved_shards() {
+        let mut c = mirror_cluster();
+        for lba in 0..1_500u64 {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        c.add_device_lazy(9, 10_000).unwrap();
+        c.reset_stats();
+        let report = c.rebalance().unwrap();
+        assert!(report.shards_moved > 0);
+        let (reads, writes) = c
+            .device_ids()
+            .iter()
+            .map(|&id| c.device(id).unwrap().stats())
+            .fold((0, 0), |(r, w), s| (r + s.reads, w + s.writes));
+        // One read and one write per moved shard; shards that stay put
+        // and the group's unmoved copies are never touched.
+        assert_eq!(reads, report.shards_moved);
+        assert_eq!(writes, report.shards_moved);
     }
 
     #[test]

@@ -220,15 +220,33 @@ impl Device {
         }
         let data = self.shards.get(key).cloned();
         if let Some(d) = &data {
-            self.stats.reads.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .bytes_read
-                .fetch_add(d.len() as u64, Ordering::Relaxed);
-            self.stats
-                .busy_us
-                .fetch_add(self.profile.service_us(d.len()), Ordering::Relaxed);
+            self.count_read(d.len());
         }
         data
+    }
+
+    /// Removes a shard and hands back its stored allocation — the read
+    /// half of a zero-copy move. Counts one read exactly as
+    /// [`Device::load`] does; returns `None` (counting nothing) when the
+    /// device is failed or the shard is absent.
+    pub(crate) fn take(&mut self, key: &ShardKey) -> Option<Vec<u8>> {
+        if self.state == DeviceState::Failed {
+            return None;
+        }
+        let data = self.shards.remove(key)?;
+        self.count_read(data.len());
+        Some(data)
+    }
+
+    /// Tallies one served shard read of `len` bytes.
+    fn count_read(&self, len: usize) {
+        self.stats.reads.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .bytes_read
+            .fetch_add(len as u64, Ordering::Relaxed);
+        self.stats
+            .busy_us
+            .fetch_add(self.profile.service_us(len), Ordering::Relaxed);
     }
 
     /// Copies a shard into a caller-provided buffer, avoiding the `Vec`
@@ -249,13 +267,7 @@ impl Device {
             return false;
         }
         out.copy_from_slice(data);
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_read
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.stats
-            .busy_us
-            .fetch_add(self.profile.service_us(data.len()), Ordering::Relaxed);
+        self.count_read(data.len());
         true
     }
 
@@ -340,6 +352,32 @@ mod tests {
         // Counters match what load would have recorded.
         assert_eq!(d.stats().reads, 1);
         assert_eq!(d.stats().bytes_read, 3);
+    }
+
+    #[test]
+    fn take_moves_the_stored_allocation() {
+        let mut d = Device::new(4, 4);
+        let payload = vec![5u8; 32];
+        let ptr = payload.as_ptr();
+        d.store((2, 1), payload).unwrap();
+        let busy_before = d.stats().busy_us;
+        let taken = d.take(&(2, 1)).expect("present");
+        // The very allocation that was stored comes back: no copy.
+        assert_eq!(taken.as_ptr(), ptr);
+        assert_eq!(taken, vec![5u8; 32]);
+        assert_eq!(d.used_blocks(), 0);
+        // Counted exactly like one `load` of the shard.
+        let s = d.stats();
+        assert_eq!((s.reads, s.bytes_read), (1, 32));
+        assert_eq!(s.busy_us - busy_before, d.profile().service_us(32));
+        // Absent key: nothing returned, nothing counted.
+        assert_eq!(d.take(&(2, 1)), None);
+        assert_eq!(d.stats().reads, 1);
+        // Failed device: nothing returned, nothing counted.
+        d.store((3, 0), vec![1]).unwrap();
+        d.fail();
+        assert_eq!(d.take(&(3, 0)), None);
+        assert_eq!(d.stats().reads, 1);
     }
 
     #[test]

@@ -152,17 +152,25 @@ impl MigrationPlan {
     }
 }
 
-/// The device operations one migrating block expands to — produced by the
-/// read-only gather phase of the parallel executor and applied afterwards
-/// by per-device writers.
+/// The device operations one migrating chunk expands to, produced by the
+/// read-only first pass of the executor and applied by its second pass.
+///
+/// Groups complete at their old locations contribute only `moves`: each
+/// moving shard is taken from its source device and its payload handed
+/// to the target as is, so the apply pass copies and allocates nothing
+/// and never touches a shard that stays put. Groups missing a shard were
+/// gathered and reconstructed in the first pass and contribute `removes`
+/// and owned `stores` instead.
 #[derive(Debug, Default)]
 pub(crate) struct BlockOps {
-    /// Shards to drop from their old device: `(device, lba, copy)`.
+    /// Shards of complete groups to move by ownership transfer.
+    pub moves: Vec<ShardMove>,
+    /// Shards of incomplete groups to drop from their old device:
+    /// `(device, lba, copy)`.
     pub removes: Vec<(u64, u64, usize)>,
-    /// Shards to land on their new device: `(device, lba, copy, payload)`.
+    /// Gathered or reconstructed shards of incomplete groups to land:
+    /// `(device, lba, copy, payload)`.
     pub stores: Vec<(u64, u64, usize, Vec<u8>)>,
-    /// Shards whose device changed (the paper-bounded movement volume).
-    pub moved: u64,
     /// Shards reconstructed from redundancy because their source was gone.
     pub reconstructed: u64,
 }

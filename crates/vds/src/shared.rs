@@ -83,15 +83,6 @@ impl SharedCluster {
         self.with(|c| c.add_device(id, capacity_blocks))
     }
 
-    /// See [`StorageCluster::migrate_step`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying cluster error.
-    pub fn migrate_step(&self, max_blocks: u64) -> Result<MigrationReport, VdsError> {
-        self.with(|c| c.migrate_step(max_blocks))
-    }
-
     /// See [`StorageCluster::migrate_batch`].
     ///
     /// # Errors
@@ -181,7 +172,7 @@ mod tests {
             let c = cluster.clone();
             std::thread::spawn(move || {
                 while c.with(|cluster| cluster.pending_blocks()) > 0 {
-                    c.migrate_step(50).unwrap();
+                    c.migrate_batch(50).unwrap();
                 }
             })
         };

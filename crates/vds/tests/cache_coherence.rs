@@ -57,7 +57,7 @@ fn apply_op(c: &mut StorageCluster, op: u8, next_id: &mut u64, seed: u64) -> Res
             *next_id += 1;
             // Migrate only part of the blocks, so later operations (and the
             // final check) see a cluster mid-migration at some point.
-            c.migrate_step(BLOCKS / 3)?;
+            c.migrate_batch(BLOCKS / 3)?;
         }
         _ => {
             // I/O churn: reads warm the cache, a write goes through the
@@ -92,9 +92,7 @@ proptest! {
         }
         // Drain any in-flight lazy migration so the effective placement is
         // the target strategy's everywhere (what a fresh cluster computes).
-        while c.pending_blocks() > 0 {
-            c.migrate_step(u64::MAX).unwrap();
-        }
+        c.rebalance().unwrap();
         let mut builder = StorageCluster::builder()
             .block_size(BLOCK_SIZE)
             .redundancy(Redundancy::Mirror { copies: 2 })

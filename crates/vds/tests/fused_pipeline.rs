@@ -96,7 +96,7 @@ proptest! {
             }
             if lazy {
                 c.add_device_lazy(100, 9_000).unwrap();
-                c.migrate_step(10).unwrap();
+                c.migrate_batch(10).unwrap();
             }
         }
         // The batch overlaps the prelude (overwrites + fresh blocks) and

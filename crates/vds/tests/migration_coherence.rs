@@ -23,11 +23,10 @@ fn payload(lba: u64, salt: u8) -> Vec<u8> {
         .collect()
 }
 
-fn base_cluster(threads: usize) -> StorageCluster {
+fn base_cluster() -> StorageCluster {
     StorageCluster::builder()
         .block_size(BLOCK_SIZE)
         .redundancy(Redundancy::Mirror { copies: 2 })
-        .migration_threads(threads)
         .device(0, 8_000)
         .device(1, 10_000)
         .device(2, 12_000)
@@ -71,11 +70,11 @@ fn apply_op(
             c.migrate_batch(BLOCKS / 3)?;
         }
         4 => {
-            // Lazy add drained by a mix of the serial and batched paths:
-            // the two must compose on the same pending set.
+            // Lazy add drained by two successive budgeted batches: they
+            // must compose on the same pending set.
             c.add_device_lazy(*next_id, 8_000)?;
             *next_id += 1;
-            c.migrate_step(BLOCKS / 5)?;
+            c.migrate_batch(BLOCKS / 5)?;
             c.migrate_batch(BLOCKS / 5)?;
         }
         _ => {
@@ -101,9 +100,8 @@ proptest! {
     fn rebalance_preserves_data_and_matches_fresh_strategy(
         ops in prop::collection::vec(0u8..6, 1..8),
         seed in any::<u64>(),
-        threads in 0usize..3,
     ) {
-        let mut c = base_cluster(threads);
+        let mut c = base_cluster();
         let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
         for lba in 0..BLOCKS {
             let data = payload(lba, 0);

@@ -94,7 +94,7 @@ impl Harness {
                 self.cluster.add_device_lazy(id, cap).expect("lazy add");
                 self.online.push(id);
                 let step = self.next() % 50;
-                self.cluster.migrate_step(step).expect("migrate step");
+                self.cluster.migrate_batch(step).expect("migrate batch");
             }
             // 8 %: gracefully remove a random device (if enough remain).
             85..=92 => {
@@ -121,7 +121,7 @@ impl Harness {
 
     fn check_full_agreement(&mut self) {
         // Advance any lazy migration partway so checks run in mixed state.
-        self.cluster.migrate_step(25).expect("migrate step");
+        self.cluster.migrate_batch(25).expect("migrate batch");
         assert_eq!(self.cluster.block_count() as usize, self.model.len());
         let lbas: Vec<u64> = self.model.keys().copied().collect();
         for lba in lbas {

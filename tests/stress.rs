@@ -101,7 +101,7 @@ fn lazy_migration_under_write_pressure() {
     cluster.add_device_lazy(9, 3_000_000).unwrap();
     let mut writes = 0u64;
     while cluster.pending_blocks() > 0 {
-        cluster.migrate_step(1_000).unwrap();
+        cluster.migrate_batch(1_000).unwrap();
         // Interleave writes over the whole space.
         for i in 0..200u64 {
             let lba = (writes * 7_919 + i * 104_729) % blocks;
