@@ -70,8 +70,8 @@ pub trait PlacementStrategy {
     /// no allocation beyond the strategy's own per-call scratch.
     ///
     /// The default runs the scalar [`PlacementStrategy::place_into`] in a
-    /// loop and is what batched callers (engine shards, the read fan-out)
-    /// build on; strategies with cheaper amortised batch paths may
+    /// loop and is what batched callers (engine shards, the migration
+    /// planner) build on; strategies with cheaper amortised batch paths may
     /// override it, but must produce identical output.
     fn place_batch_into(&self, balls: &[u64], out: &mut Vec<BinId>) {
         let k = self.replication();

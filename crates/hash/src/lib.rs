@@ -53,7 +53,9 @@ mod selector;
 pub use alias::AliasTable;
 pub use cdf::CdfTable;
 pub use consistent::{ConsistentRing, StatelessConsistent};
-pub use mix::{splitmix64, stable_hash2, stable_hash3, unit_f64, unit_open_f64};
+pub use mix::{
+    splitmix64, stable_hash2, stable_hash3, unit_f64, unit_open_f64, SplitMixHasher, SplitMixState,
+};
 pub use rendezvous::Rendezvous;
 pub use selector::SingleCopySelector;
 pub use share::{Share, ShareError};

@@ -11,6 +11,12 @@
 //! which has full avalanche behaviour and is commonly used to seed PRNGs.
 //! Multi-argument hashes chain the mixer so every input bit affects every
 //! output bit.
+//!
+//! [`SplitMixState`] reuses the mixer as a keyed `HashMap` hasher for the
+//! storage layer's integer-keyed lookup tables.
+
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 
 /// Number of distinct copies supported by the domain-separation constants.
 ///
@@ -116,6 +122,81 @@ pub fn unit_open_f64(hash: u64) -> f64 {
     ((hash >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// A keyed [`BuildHasher`] for maps with integer keys: each key word costs
+/// one [`splitmix64`] round instead of a SipHash pass.
+///
+/// Unlike the stable hashes above, this one is *not* reproducible across
+/// maps: every default-built state draws its seed from std's
+/// [`RandomState`], so bucket positions cannot be predicted from the keys
+/// alone. It is not a pseudo-random function like SipHash, though: an
+/// adversary who can time many probes may still learn enough to build
+/// colliding keys. Use it for in-memory lookup tables, never for
+/// placement.
+///
+/// # Example
+///
+/// ```
+/// use std::collections::HashMap;
+/// use rshare_hash::SplitMixState;
+///
+/// let mut shards: HashMap<(u64, usize), u8, SplitMixState> = HashMap::default();
+/// shards.insert((7, 1), 42);
+/// assert_eq!(shards[&(7, 1)], 42);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct SplitMixState {
+    seed: u64,
+}
+
+impl Default for SplitMixState {
+    fn default() -> Self {
+        Self {
+            seed: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for SplitMixState {
+    type Hasher = SplitMixHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> SplitMixHasher {
+        SplitMixHasher { state: self.seed }
+    }
+}
+
+/// The [`Hasher`] built by [`SplitMixState`]: folds each written word into
+/// its state with one [`splitmix64`] round.
+#[derive(Debug, Clone, Copy)]
+pub struct SplitMixHasher {
+    state: u64,
+}
+
+impl Hasher for SplitMixHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.state = splitmix64(self.state ^ n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,5 +267,40 @@ mod tests {
         }
         let avg = total as f64 / trials as f64;
         assert!((avg - 32.0).abs() < 2.0, "avalanche avg = {avg}");
+    }
+
+    #[test]
+    fn splitmix_state_is_keyed() {
+        let (a, b) = (SplitMixState::default(), SplitMixState::default());
+        assert_ne!(a.hash_one((7u64, 1usize)), b.hash_one((7u64, 1usize)));
+    }
+
+    #[test]
+    fn splitmix_state_is_deterministic() {
+        let s = SplitMixState::default();
+        for lba in 0..100u64 {
+            assert_eq!(s.hash_one((lba, 2usize)), s.hash_one((lba, 2usize)));
+        }
+        assert_ne!(s.hash_one((1u64, 0usize)), s.hash_one((0u64, 1usize)));
+    }
+
+    #[test]
+    fn splitmix_state_spreads_sequential_shard_keys() {
+        // The per-device shard maps are keyed by `(lba, copy)` with dense
+        // LBAs: they must not pile up in a few of the low-bit buckets.
+        const BUCKETS: usize = 1_024;
+        let s = SplitMixState::default();
+        let mut counts = vec![0u32; BUCKETS];
+        let mut keys = 0u32;
+        for lba in 0..32_768u64 {
+            for copy in 0..2usize {
+                counts[s.hash_one((lba, copy)) as usize % BUCKETS] += 1;
+                keys += 1;
+            }
+        }
+        assert_eq!(keys, 65_536);
+        let mean = keys / BUCKETS as u32;
+        let max = *counts.iter().max().unwrap();
+        assert!(max <= 2 * mean, "fullest bucket {max}, mean {mean}");
     }
 }

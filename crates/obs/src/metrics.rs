@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 /// A monotonically increasing event count.
 ///
 /// `inc`/`add` take `&self` and cost one relaxed `fetch_add`, so counters
-/// can sit on concurrent hot paths (the batched read fan-out increments
-/// shared counters from every worker thread).
+/// can sit on concurrent hot paths (threads sharing a cluster increment
+/// the same counters).
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 

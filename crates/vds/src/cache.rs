@@ -12,12 +12,20 @@
 //! ([`MAX_CACHED_SHARDS`] slots, smallvec-style), so a cached placement
 //! costs no heap allocation per entry and a hit copies at most 128 bytes.
 //! The map is sharded by a hash of the block address and each shard is
-//! guarded by its own mutex, so the concurrent read fan-out of
-//! [`crate::StorageCluster::read_blocks`] does not serialise on one lock.
+//! guarded by its own mutex, so concurrent readers sharing a cluster do
+//! not serialise on one lock. Within a shard, entries are hashed with the
+//! keyed [`SplitMixState`] rather than SipHash.
+//!
+//! The cluster consults the cache only while it places through the O(n)
+//! scan engine. There a hit costs about as much as the scan or less; a
+//! lookup in front of the O(k) fast engine (≥ 64 devices) cost ~10× the
+//! computation it saved, so fast-engine placements are never cached.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use rshare_hash::SplitMixState;
 
 /// Widest redundancy group a cache entry can hold inline. Wider groups
 /// (e.g. large LRCs) simply bypass the cache rather than spilling to the
@@ -93,12 +101,15 @@ struct Entry {
     placement: InlinePlacement,
 }
 
+/// One lock shard's entries.
+type EntryMap = HashMap<u64, Entry, SplitMixState>;
+
 /// The sharded placement cache. All methods take `&self`; interior
 /// mutability is per-shard, so concurrent readers on different shards
 /// never contend.
 #[derive(Debug)]
 pub(crate) struct PlacementCache {
-    shards: Vec<Mutex<HashMap<u64, Entry>>>,
+    shards: Vec<Mutex<EntryMap>>,
     hits: AtomicU64,
     misses: AtomicU64,
     per_shard_capacity: usize,
@@ -108,7 +119,7 @@ impl PlacementCache {
     pub(crate) fn new() -> Self {
         Self {
             shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(EntryMap::default()))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -116,7 +127,7 @@ impl PlacementCache {
         }
     }
 
-    fn shard(&self, lba: u64) -> &Mutex<HashMap<u64, Entry>> {
+    fn shard(&self, lba: u64) -> &Mutex<EntryMap> {
         let ix = rshare_hash::stable_hash2(lba, SHARD_DOMAIN) as usize & (CACHE_SHARDS - 1);
         &self.shards[ix]
     }
@@ -159,10 +170,11 @@ impl PlacementCache {
         map.insert(lba, Entry { epoch, placement });
     }
 
-    /// Drops every entry (used when the cache is disabled at runtime).
+    /// Drops every entry and frees the shards' tables (used when the
+    /// cache is disabled or stops being consulted).
     pub(crate) fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").clear();
+            *shard.lock().expect("cache shard poisoned") = EntryMap::default();
         }
     }
 

@@ -47,10 +47,6 @@ const LATENCY_SAMPLE: u64 = 64;
 /// `n` and which avoids the O(k·n²) table build on every membership change.
 const FAST_PLACEMENT_MIN_DEVICES: usize = 64;
 
-/// Below this many blocks per available thread a batched read stays on the
-/// calling thread: spawn/join overhead dwarfs the lookups.
-const MIN_READS_PER_THREAD: usize = 64;
-
 /// Blocks per batched-migration chunk: the unit the executor validates
 /// and applies all-or-nothing. Bounds the transient memory of a
 /// rebalance — only the reconstructed groups of one chunk are held
@@ -190,7 +186,10 @@ impl ClusterBuilder {
 
     /// Enables or disables the placement cache (default enabled). With the
     /// cache off every lookup recomputes the placement — the configuration
-    /// benchmarks use as the uncached baseline.
+    /// benchmarks use as the uncached baseline. The cache only fronts the
+    /// O(n) scan engine, so on clusters large enough for the fast engine
+    /// ([`ClusterBuilder::fast_strategy_threshold`], 64 devices by
+    /// default) this setting has no effect.
     #[must_use]
     pub fn placement_cache(mut self, enabled: bool) -> Self {
         self.placement_cache = enabled;
@@ -463,10 +462,13 @@ impl StorageCluster {
         self.target_placement(lba)
     }
 
-    /// The placement under the *target* (post-migration) configuration,
-    /// served from the epoch-versioned cache when enabled.
+    /// The placement under the *target* (post-migration) configuration.
+    /// Scan-engine placements are served from the epoch-versioned cache
+    /// when enabled: there a hit costs about as much as the O(n) scan or
+    /// less. The O(k) fast engine is cheaper than a cache lookup, so its
+    /// placements are always computed.
     fn target_placement(&self, lba: u64) -> PlacementIds {
-        if self.cache_enabled && self.redundancy.total_shards() <= MAX_CACHED_SHARDS {
+        if self.uses_cache() {
             if let Some(hit) = self.cache.get(lba, self.placement_epoch) {
                 return PlacementIds::Inline(hit);
             }
@@ -477,6 +479,24 @@ impl StorageCluster {
             computed
         } else {
             self.compute_placement(self.strategy(), lba)
+        }
+    }
+
+    /// Whether target placements go through the cache: it is enabled, the
+    /// group fits an entry, and the cluster places with the scan engine.
+    fn uses_cache(&self) -> bool {
+        self.cache_enabled
+            && self.redundancy.total_shards() <= MAX_CACHED_SHARDS
+            && matches!(self.strategy(), ClusterStrategy::Scan(_))
+    }
+
+    /// Invalidates every cached placement after a strategy change. When
+    /// the new strategy no longer uses the cache, its entries are freed
+    /// too, as no lookup would ever evict them.
+    fn bump_epoch(&mut self) {
+        self.placement_epoch += 1;
+        if !self.uses_cache() {
+            self.cache.clear();
         }
     }
 
@@ -526,7 +546,8 @@ impl StorageCluster {
     }
 
     /// Enables or disables the placement cache at runtime. Disabling also
-    /// drops all cached entries.
+    /// drops all cached entries. Like [`ClusterBuilder::placement_cache`],
+    /// this has no effect while the cluster places with the fast engine.
     pub fn set_placement_cache(&mut self, enabled: bool) {
         self.cache_enabled = enabled;
         if !enabled {
@@ -826,49 +847,22 @@ impl StorageCluster {
         }
     }
 
-    /// Reads many logical blocks, fanning the lookups out over scoped OS
-    /// threads. Returns the blocks in `lbas` order, or the first error in
-    /// that order.
+    /// Reads many logical blocks in `lbas` order, returning them in that
+    /// order. Each read is served through
+    /// [`StorageCluster::read_block_into`], so the only per-block
+    /// allocation is the returned block itself.
     ///
-    /// Reads need only `&self` — shard contents are immutable between
-    /// writes and the per-device I/O counters are atomic — so the fan-out
-    /// shares the cluster without locking. Batches too small to amortise
-    /// thread spawn cost run inline on the calling thread. Every read is
-    /// served through [`StorageCluster::read_block_into`], so the only
-    /// per-block allocation is the returned block itself.
+    /// The reads run serially on the calling thread: a scoped-thread
+    /// fan-out measured slower than this loop on two cores. Reading stops
+    /// at the first error, so blocks after a failing one are never read
+    /// and their devices count no I/O.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`StorageCluster::read_block`], per block.
+    /// The first error in `lbas` order, under the same conditions as
+    /// [`StorageCluster::read_block`].
     pub fn read_blocks(&self, lbas: &[u64]) -> Result<Vec<Vec<u8>>, VdsError> {
-        let threads = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(lbas.len() / MIN_READS_PER_THREAD)
-            .max(1);
-        if threads == 1 {
-            return lbas.iter().map(|&lba| self.read_block(lba)).collect();
-        }
-        let chunk = lbas.len().div_ceil(threads);
-        let mut results: Vec<Result<Vec<u8>, VdsError>> = Vec::with_capacity(lbas.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = lbas[chunk..]
-                .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        shard
-                            .iter()
-                            .map(|&lba| self.read_block(lba))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // The first shard runs on the calling thread.
-            results.extend(lbas[..chunk].iter().map(|&lba| self.read_block(lba)));
-            for handle in handles {
-                results.extend(handle.join().expect("read worker panicked"));
-            }
-        });
-        results.into_iter().collect()
+        lbas.iter().map(|&lba| self.read_block(lba)).collect()
     }
 
     /// Adds a device and migrates the shards whose computed placement
@@ -942,7 +936,7 @@ impl StorageCluster {
         // The target mapping changed, so cached placements are stale even
         // though no data has moved yet; pending blocks additionally bypass
         // the cache until migrated (see `effective_placement`).
-        self.placement_epoch += 1;
+        self.bump_epoch();
         let remaining: BTreeSet<u64> = self.blocks.iter().copied().collect();
         let count = remaining.len() as u64;
         self.pending = Some(PendingMigration {
@@ -1876,7 +1870,7 @@ impl StorageCluster {
             .expect("strategy always present");
         // One epoch bump per plan invalidates every cached placement of
         // the old strategy; nothing per block touches the cache.
-        self.placement_epoch += 1;
+        self.bump_epoch();
         // Any in-flight lazy migration is absorbed: blocks it had not yet
         // moved are gathered from their true (pre-lazy-change) locations.
         let absorbed = self.pending.take();
@@ -2077,7 +2071,7 @@ mod tests {
         for (got, &lba) in blocks.iter().zip(&lbas) {
             assert_eq!(got, &block(lba as u8, 64), "lba {lba}");
         }
-        // Each mirrored read touched exactly one device, also from threads.
+        // Each mirrored read touched exactly one device.
         let total_reads: u64 = c
             .device_ids()
             .iter()
@@ -2094,6 +2088,28 @@ mod tests {
     }
 
     #[test]
+    fn read_blocks_stops_at_first_error() {
+        let mut c = mirror_cluster();
+        for lba in (0..256u64).filter(|&lba| lba != 100) {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        let reads = |c: &StorageCluster| -> u64 {
+            c.device_ids()
+                .iter()
+                .map(|id| c.device(*id).unwrap().stats().reads)
+                .sum()
+        };
+        let before = reads(&c);
+        let lbas: Vec<u64> = (0..256u64).collect();
+        assert!(matches!(
+            c.read_blocks(&lbas),
+            Err(VdsError::BlockNotFound { lba: 100 })
+        ));
+        // Blocks 0..100 were read (one mirror copy each); none after 100.
+        assert_eq!(reads(&c) - before, 100);
+    }
+
+    #[test]
     fn large_cluster_routes_through_fast_placement() {
         let mut b = StorageCluster::builder()
             .block_size(64)
@@ -2101,7 +2117,7 @@ mod tests {
         for id in 0..FAST_PLACEMENT_MIN_DEVICES as u64 {
             b = b.device(id, 5_000 + id * 13);
         }
-        let mut c = b.build().unwrap();
+        let mut c = b.placement_cache(true).build().unwrap();
         assert!(
             matches!(c.strategy(), ClusterStrategy::Fast(_)),
             "64-device cluster must use the O(k) strategy"
@@ -2110,13 +2126,26 @@ mod tests {
         let mut scratch = Vec::new();
         for lba in 0..300u64 {
             c.write_block(lba, &block(lba as u8, 64)).unwrap();
+            let computed = c.placements_computed();
             c.placement_into(lba, &mut placement);
+            assert_eq!(c.placements_computed(), computed + 1, "placement_into");
             assert!(all_distinct(&placement, &mut scratch), "distinct devices");
+        }
+        // The fast engine bypasses the cache: every lookup, repeated or
+        // not, computes the placement once.
+        for pass in 0..2 {
+            for lba in 0..300u64 {
+                let computed = c.placements_computed();
+                assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
+                assert_eq!(c.placements_computed(), computed + 1, "pass {pass}");
+            }
         }
         let lbas: Vec<u64> = (0..300u64).collect();
         for (got, &lba) in c.read_blocks(&lbas).unwrap().iter().zip(&lbas) {
             assert_eq!(got, &block(lba as u8, 64));
         }
+        let stats = c.cache_stats();
+        assert_eq!((stats.hits, stats.entries), (0, 0));
         // A small cluster keeps the scan strategy.
         assert!(matches!(
             mirror_cluster().strategy(),

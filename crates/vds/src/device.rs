@@ -1,7 +1,10 @@
 //! Simulated block storage devices.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use rshare_hash::SplitMixState;
 
 use crate::error::VdsError;
 use crate::profile::DeviceProfile;
@@ -68,7 +71,7 @@ pub struct Device {
     id: u64,
     capacity_blocks: u64,
     state: DeviceState,
-    shards: HashMap<ShardKey, Vec<u8>>,
+    shards: HashMap<ShardKey, Vec<u8>, SplitMixState>,
     stats: AtomicIoStats,
     profile: DeviceProfile,
 }
@@ -106,7 +109,7 @@ impl Device {
             id,
             capacity_blocks,
             state: DeviceState::Online,
-            shards: HashMap::new(),
+            shards: HashMap::default(),
             stats: AtomicIoStats::default(),
             profile,
         }
@@ -160,21 +163,25 @@ impl Device {
         self.shards.clear();
     }
 
+    /// Stores a shard, taking ownership of `data`. As in
+    /// [`Device::store_from`], one hash probe serves both the capacity
+    /// check and the insert.
     pub(crate) fn store(&mut self, key: ShardKey, data: Vec<u8>) -> Result<(), VdsError> {
         if self.state == DeviceState::Failed {
             return Err(VdsError::DeviceFailed { id: self.id });
         }
-        if !self.shards.contains_key(&key) && self.used_blocks() >= self.capacity_blocks {
-            return Err(VdsError::OutOfSpace { id: self.id });
+        let len = data.len();
+        let used = self.shards.len() as u64;
+        match self.shards.entry(key) {
+            Entry::Occupied(e) => *e.into_mut() = data,
+            Entry::Vacant(e) => {
+                if used >= self.capacity_blocks {
+                    return Err(VdsError::OutOfSpace { id: self.id });
+                }
+                e.insert(data);
+            }
         }
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.stats
-            .busy_us
-            .fetch_add(self.profile.service_us(data.len()), Ordering::Relaxed);
-        self.shards.insert(key, data);
+        self.count_write(len);
         Ok(())
     }
 
@@ -192,26 +199,31 @@ impl Device {
         // existence test and the slot.
         let used = self.shards.len() as u64;
         match self.shards.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
+            Entry::Occupied(e) => {
                 let slot = e.into_mut();
                 slot.clear();
                 slot.extend_from_slice(data);
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 if used >= self.capacity_blocks {
                     return Err(VdsError::OutOfSpace { id: self.id });
                 }
                 e.insert(data.to_vec());
             }
         }
+        self.count_write(data.len());
+        Ok(())
+    }
+
+    /// Tallies one absorbed shard write of `len` bytes.
+    fn count_write(&self, len: usize) {
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
+            .fetch_add(len as u64, Ordering::Relaxed);
         self.stats
             .busy_us
-            .fetch_add(self.profile.service_us(data.len()), Ordering::Relaxed);
-        Ok(())
+            .fetch_add(self.profile.service_us(len), Ordering::Relaxed);
     }
 
     pub(crate) fn load(&self, key: &ShardKey) -> Option<Vec<u8>> {
@@ -281,7 +293,7 @@ impl Device {
     }
 
     pub(crate) fn has(&self, key: &ShardKey) -> bool {
-        self.state == DeviceState::Online && self.shards.contains_key(&key.clone())
+        self.state == DeviceState::Online && self.shards.contains_key(key)
     }
 }
 

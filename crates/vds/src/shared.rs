@@ -1,10 +1,10 @@
 //! A thread-safe handle to a storage cluster.
 //!
-//! [`StorageCluster`] is a single-threaded state machine (even reads update
-//! device statistics). [`SharedCluster`] wraps it for concurrent callers —
-//! many application threads issuing I/O while an operator thread runs
-//! migrations — with coarse-grained locking, which is honest about the
-//! simulator's semantics: every operation observes a serializable state.
+//! [`StorageCluster`] reads take `&self`, but writes and membership
+//! changes need `&mut self`. [`SharedCluster`] wraps it for concurrent
+//! callers — many application threads issuing I/O while an operator
+//! thread runs migrations — behind one mutex, so every operation, reads
+//! included, observes a serializable state.
 
 use std::sync::{Arc, Mutex};
 
