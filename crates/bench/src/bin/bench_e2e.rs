@@ -9,10 +9,11 @@
 //! 2. **Block reads** — `read_blocks` throughput over the same working
 //!    set, cached vs uncached cluster.
 //! 3. **Reed–Solomon encode** — MB/s of each GF(256) kernel tier (SIMD,
-//!    SWAR, flat-table) vs the byte-wise log/exp reference on 64 KiB
+//!    flat-table) vs the byte-wise log/exp reference on 64 KiB
 //!    shards, forced per tier through `set_kernel_tier`.
 //! 4. **Stripe writes** — the fused `write_blocks` batch pipeline vs a
-//!    `write_block` loop over the same overwrite working set.
+//!    `write_block` loop (one-block batches) over the same overwrite
+//!    working set.
 //! 5. **Repair** — fused `repair()` (scan → gather → reconstruct → store
 //!    only the missing shards) vs the oracle-free per-block recipe: read
 //!    every block (degraded reads reconstruct) and write it back. Both
@@ -172,7 +173,7 @@ fn rs_cluster(block_size: usize) -> StorageCluster {
 
 /// RS(8, 4) parity generation over 64 KiB shards: every kernel tier
 /// (forced via `set_kernel_tier`; on hardware without SSSE3 the `simd`
-/// row measures the documented SWAR fallback) vs the byte-wise log/exp
+/// row measures the documented table fallback) vs the byte-wise log/exp
 /// reference.
 fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     const DATA: usize = 8;
@@ -200,11 +201,7 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     }
 
     let prior = gf256::kernel_tier();
-    for (mode, tier) in [
-        ("simd", KernelTier::Simd),
-        ("swar", KernelTier::Swar),
-        ("table", KernelTier::Table),
-    ] {
+    for (mode, tier) in [("simd", KernelTier::Simd), ("table", KernelTier::Table)] {
         gf256::set_kernel_tier(tier);
         let elapsed = time_best(|| {
             for _ in 0..encodes {
@@ -245,13 +242,10 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
 }
 
 /// Steady-state stripe writes over an RS(4, 2) cluster: the fused
-/// `write_blocks` pipeline (hoisted encode scratch, device-side buffer
-/// reuse) vs calling `write_block` once per block. The working set is
-/// pre-written so every timed round is an overwrite — the allocation
-/// pattern the fused path eliminates. Blocks are the canonical 4 KiB
-/// (matching the repair bench), so the per-block copy/alloc savings are
-/// measured at a realistic shard size rather than being drowned by
-/// fixed per-block bookkeeping.
+/// `write_blocks` pipeline over the whole working set vs calling
+/// `write_block` (a one-block batch) once per block. The working set is
+/// pre-written so every timed round is an overwrite. Blocks are the
+/// canonical 4 KiB (matching the repair bench).
 fn bench_stripe_writes(quick: bool, cells: &mut Vec<Cell>) {
     let working_set: u64 = if quick { 512 } else { 4_096 };
     let rounds: u64 = if quick { 2 } else { 4 };
@@ -411,7 +405,7 @@ fn records(cells: &[Cell]) -> Vec<Record> {
                 ("repair", "fused") => ("repair_fused".to_string(), Some("loop")),
                 ("repair", "loop") => ("repair_block_loop".to_string(), None),
                 (_, "cached") => (format!("{}_{}", c.bench, c.mode), Some("uncached")),
-                (_, "simd" | "swar") => (format!("{}_{}", c.bench, c.mode), Some("table")),
+                (_, "simd") => (format!("{}_{}", c.bench, c.mode), Some("table")),
                 (_, "table") => (format!("{}_{}", c.bench, c.mode), Some("bytewise")),
                 _ => (format!("{}_{}", c.bench, c.mode), None),
             };

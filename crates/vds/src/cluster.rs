@@ -545,17 +545,8 @@ impl StorageCluster {
         self.placements_computed.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables the placement cache at runtime. Disabling also
-    /// drops all cached entries. Like [`ClusterBuilder::placement_cache`],
-    /// this has no effect while the cluster places with the fast engine.
-    pub fn set_placement_cache(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        if !enabled {
-            self.cache.clear();
-        }
-    }
-
-    /// Writes one logical block.
+    /// Writes one logical block: a one-block [`StorageCluster::write_blocks`]
+    /// batch.
     ///
     /// # Errors
     ///
@@ -563,53 +554,7 @@ impl StorageCluster {
     /// * [`VdsError::OutOfSpace`] / [`VdsError::DeviceFailed`] from the
     ///   target devices.
     pub fn write_block(&mut self, lba: u64, data: &[u8]) -> Result<(), VdsError> {
-        if data.len() != self.block_size {
-            return Err(VdsError::WrongBlockSize {
-                expected: self.block_size,
-                got: data.len(),
-            });
-        }
-        let shards = self.redundancy.encode_block(data, self.codec.as_deref())?;
-        // Writes always land at the target placement; if the block was
-        // awaiting lazy migration, the overwrite completes it for free.
-        let old_placement = match &mut self.pending {
-            Some(p) => {
-                if p.remaining.remove(&lba) {
-                    Some(
-                        p.old_strategy
-                            .place(lba)
-                            .into_iter()
-                            .map(|id| id.raw())
-                            .collect::<Vec<u64>>(),
-                    )
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        let placement = self.target_placement(lba);
-        for (i, (shard, &dev_id)) in shards.into_iter().zip(placement.iter()).enumerate() {
-            let device = self
-                .devices
-                .get_mut(&dev_id)
-                .ok_or(VdsError::UnknownDevice { id: dev_id })?;
-            device.store((lba, i), shard)?;
-        }
-        if let Some(old) = old_placement {
-            for (i, dev_id) in old.iter().enumerate() {
-                if *dev_id != placement[i] {
-                    if let Some(d) = self.devices.get_mut(dev_id) {
-                        d.remove(&(lba, i));
-                    }
-                }
-            }
-        }
-        self.blocks.insert(lba);
-        if let Some(m) = &self.metrics {
-            m.writes_total.inc();
-        }
-        Ok(())
+        self.write_blocks(std::slice::from_ref(&lba), data)
     }
 
     /// Writes many logical blocks through the fused stripe pipeline:
@@ -621,9 +566,8 @@ impl StorageCluster {
     /// `data` is the concatenation of the blocks, in `lbas` order.
     ///
     /// Cluster state, placements, metrics and per-device I/O counters are
-    /// identical to calling [`StorageCluster::write_block`] once per block
-    /// (proptest-pinned); only the allocation profile differs. Encode
-    /// parities stream through the tiered GF(256) kernels
+    /// identical to writing the blocks one per batch (proptest-pinned).
+    /// Encode parities stream through the tiered GF(256) kernels
     /// ([`rshare_erasure::gf256::kernel_tier`]).
     ///
     /// # Errors
@@ -1782,13 +1726,6 @@ impl StorageCluster {
         sample_line(&mut out, "gf_simd_bytes_total", &[], ks.simd_bytes);
         family_header(
             &mut out,
-            "gf_swar_bytes_total",
-            "counter",
-            "Multiply bytes served by the portable SWAR kernel tier (process-wide)",
-        );
-        sample_line(&mut out, "gf_swar_bytes_total", &[], ks.swar_bytes);
-        family_header(
-            &mut out,
             "gf_kernel_calls_total",
             "counter",
             "GF(256) bulk kernel invocations (process-wide)",
@@ -2559,9 +2496,10 @@ mod tests {
         assert!(c.placement_epoch() > epoch_before, "epoch must bump");
         // Placements after the change match a freshly built identical
         // cluster (i.e. no stale cache entry leaks through).
-        let mut fresh = StorageCluster::builder()
+        let fresh = StorageCluster::builder()
             .block_size(64)
             .redundancy(Redundancy::Mirror { copies: 2 })
+            .placement_cache(false)
             .device(0, 10_000)
             .device(1, 10_000)
             .device(2, 10_000)
@@ -2569,7 +2507,6 @@ mod tests {
             .device(9, 10_000)
             .build()
             .unwrap();
-        fresh.set_placement_cache(false);
         for lba in 0..300u64 {
             assert_eq!(c.placement(lba), fresh.placement(lba), "lba {lba}");
             assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
@@ -2625,12 +2562,6 @@ mod tests {
             "uncached lookups recompute"
         );
         assert_eq!(c.cache_stats().entries, 0);
-        // Re-enabling works.
-        c.set_placement_cache(true);
-        c.read_block(3).unwrap(); // miss, fills cache
-        let computed = c.placements_computed();
-        c.read_block(3).unwrap(); // hit
-        assert_eq!(c.placements_computed(), computed);
     }
 
     #[test]
@@ -3074,7 +3005,6 @@ mod tests {
             "gf_xor_bytes_total",
             "gf_mul_bytes_total",
             "gf_simd_bytes_total",
-            "gf_swar_bytes_total",
             "gf_kernel_calls_total",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");

@@ -58,7 +58,6 @@ mod health;
 mod migration;
 mod profile;
 mod redundancy;
-mod shared;
 mod vdisk;
 
 pub use cache::{CacheStats, MAX_CACHED_SHARDS};
@@ -69,5 +68,4 @@ pub use health::{DeviceLoad, FairnessReport, HealthSnapshot};
 pub use migration::{MigrationPlan, MigrationReport, ShardMove};
 pub use profile::DeviceProfile;
 pub use redundancy::Redundancy;
-pub use shared::SharedCluster;
 pub use vdisk::VirtualDisk;

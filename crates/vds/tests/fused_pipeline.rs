@@ -1,10 +1,10 @@
 //! Property-based parity tests for the fused stripe pipeline.
 //!
-//! `write_blocks` is an allocation optimisation, not a semantic change:
-//! after any prelude of membership churn (including a half-finished lazy
-//! migration, so batch writes complete pending moves), a batch write must
-//! leave the cluster bit-identical — blocks, placements, per-device
-//! contents *and I/O counters* — to calling `write_block` once per block.
+//! Batching is not a semantic change: after any prelude of membership
+//! churn (including a half-finished lazy migration, so batch writes
+//! complete pending moves), one `write_blocks` batch must leave the
+//! cluster bit-identical — blocks, placements, per-device contents *and
+//! I/O counters* — to one-block batches (`write_block`) in the same order.
 //! Likewise `read_block_into` must agree with `read_block` on healthy and
 //! degraded clusters.
 
@@ -73,7 +73,7 @@ fn assert_same_state(fused: &StorageCluster, looped: &StorageCluster, lbas: &[u6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `write_blocks` == repeated `write_block`, including batches that
+    /// One batch == one-block batches, including batches that
     /// overwrite existing blocks and complete lazy migrations.
     #[test]
     fn write_blocks_equals_write_block_loop(
