@@ -26,7 +26,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rshare_bench::{f, print_table, records_json, section, Record};
+use rshare_bench::{f, print_table, records_json, section, speedup, time_best, Cell, Record};
 use rshare_erasure::gf256::KernelTier;
 use rshare_erasure::{gf256, ErasureCode, MatrixCode, ReedSolomon};
 use rshare_vds::{Redundancy, StorageCluster};
@@ -38,31 +38,6 @@ const REPS: usize = 5;
 /// so an uncached lookup pays the full O(n) Algorithm-4 scan, as a small
 /// real deployment would.
 const DEVICES: u64 = 48;
-
-struct Cell {
-    bench: &'static str,
-    mode: &'static str,
-    items: u64,
-    unit: &'static str,
-    elapsed_ns: u128,
-}
-
-impl Cell {
-    fn per_s(&self) -> f64 {
-        self.items as f64 / (self.elapsed_ns as f64 / 1e9)
-    }
-}
-
-/// Best-of-[`REPS`] wall-clock time of `run`.
-fn time_best<F: FnMut()>(mut run: F) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        run();
-        best = best.min(start.elapsed().as_nanos());
-    }
-    best
-}
 
 /// Best-of-[`REPS`] for two bodies measured as an interleaved pair: each
 /// rep times `a` then `b` back to back, so a machine-load phase slower
@@ -112,7 +87,7 @@ fn bench_placement(quick: bool, cells: &mut Vec<Cell>) {
         for lba in 0..working_set {
             c.placement_into(lba, &mut out);
         }
-        let elapsed = time_best(|| {
+        let elapsed = time_best(REPS, || {
             for _ in 0..rounds {
                 for lba in 0..working_set {
                     c.placement_into(black_box(lba), &mut out);
@@ -142,7 +117,7 @@ fn bench_reads(quick: bool, cells: &mut Vec<Cell>) {
         for &lba in &lbas {
             c.write_block(lba, &data).expect("write");
         }
-        let elapsed = time_best(|| {
+        let elapsed = time_best(REPS, || {
             for _ in 0..rounds {
                 black_box(c.read_blocks(black_box(&lbas)).expect("read"));
             }
@@ -203,7 +178,7 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     let prior = gf256::kernel_tier();
     for (mode, tier) in [("simd", KernelTier::Simd), ("table", KernelTier::Table)] {
         gf256::set_kernel_tier(tier);
-        let elapsed = time_best(|| {
+        let elapsed = time_best(REPS, || {
             for _ in 0..encodes {
                 code.encode(black_box(&mut shards)).expect("encode");
             }
@@ -220,7 +195,7 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     gf256::set_kernel_tier(prior);
 
     let mut parity = vec![vec![0u8; SHARD]; PARITY];
-    let bytewise = time_best(|| {
+    let bytewise = time_best(REPS, || {
         for _ in 0..encodes {
             for (p, out) in parity.iter_mut().enumerate() {
                 out.fill(0);
@@ -341,17 +316,6 @@ fn bench_repair(quick: bool, cells: &mut Vec<Cell>) {
             elapsed_ns: elapsed,
         });
     }
-}
-
-fn speedup(cells: &[Cell], bench: &str, fast: &str, slow: &str) -> f64 {
-    let rate = |mode: &str| {
-        cells
-            .iter()
-            .find(|c| c.bench == bench && c.mode == mode)
-            .expect("cell present")
-            .per_s()
-    };
-    rate(fast) / rate(slow)
 }
 
 /// Hand-rolled JSON (no serde in the dependency set).

@@ -21,7 +21,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rshare_bench::{f, print_table, records_json, section, Record};
+use rshare_bench::{f, print_table, records_json, section, speedup, Cell, Record};
 use rshare_vds::{MigrationPlan, Redundancy, StorageCluster};
 
 /// Timing repetitions per cell; the best (minimum) time is reported.
@@ -36,20 +36,6 @@ const DEVICES: u64 = 96;
 const BUDGET: u64 = 2_048;
 
 const BLOCK_SIZE: usize = 64;
-
-struct Cell {
-    bench: &'static str,
-    mode: &'static str,
-    items: u64,
-    unit: &'static str,
-    elapsed_ns: u128,
-}
-
-impl Cell {
-    fn per_s(&self) -> f64 {
-        self.items as f64 / (self.elapsed_ns as f64 / 1e9)
-    }
-}
 
 /// A measured competitive-ratio row.
 struct Ratio {
@@ -190,17 +176,6 @@ fn bench_competitive(blocks: u64) -> Vec<Ratio> {
             c.plan_remove_device(smallest_id).expect("plan"),
         ),
     ]
-}
-
-fn speedup(cells: &[Cell], bench: &str, fast: &str, slow: &str) -> f64 {
-    let rate = |mode: &str| {
-        cells
-            .iter()
-            .find(|c| c.bench == bench && c.mode == mode)
-            .expect("cell present")
-            .per_s()
-    };
-    rate(fast) / rate(slow)
 }
 
 /// Hand-rolled JSON (no serde in the dependency set).

@@ -20,7 +20,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rshare_bench::{f, pct, print_table, records_json, section, Record};
+use rshare_bench::{f, pct, print_table, records_json, section, time_best, Record};
 use rshare_obs::Metric;
 use rshare_vds::{Redundancy, StorageCluster};
 
@@ -33,17 +33,6 @@ const DEVICES: u64 = 48;
 
 /// Devices in the fairness cluster (the experiment's 100-device claim).
 const FAIRNESS_DEVICES: u64 = 100;
-
-/// Best-of-[`REPS`] wall-clock time of `run`.
-fn time_best<F: FnMut()>(mut run: F) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        run();
-        best = best.min(start.elapsed().as_nanos());
-    }
-    best
-}
 
 fn read_cluster(metrics: bool, block_size: usize) -> StorageCluster {
     let mut b = StorageCluster::builder()
@@ -106,7 +95,7 @@ fn bench_overhead(quick: bool) -> (f64, f64, f64) {
         other => panic!("expected reads_total counter, found {other:?}"),
     }
     let renders: u64 = if quick { 32 } else { 256 };
-    let elapsed = time_best(|| {
+    let elapsed = time_best(REPS, || {
         for _ in 0..renders {
             black_box(instrumented.export_prometheus());
         }

@@ -11,9 +11,8 @@
 //! get noisier but the report shape is identical.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use rshare_bench::{f, print_table, records_json, section, Record};
+use rshare_bench::{f, print_table, records_json, section, time_best, Record};
 use rshare_core::{BinId, BinSet, PlacementEngine, PlacementStrategy, RedundantShare};
 
 /// Timing repetitions per cell; the best (minimum) time is reported.
@@ -53,18 +52,6 @@ fn balls_for(n: usize, quick: bool) -> usize {
     }
 }
 
-/// Best-of-[`REPS`] wall-clock time of `run`, which must consume the whole
-/// ball set once per call.
-fn time_best<F: FnMut()>(mut run: F) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        run();
-        best = best.min(start.elapsed().as_nanos());
-    }
-    best
-}
-
 fn measure(n: usize, k: usize, quick: bool, threads: usize) -> Vec<Cell> {
     let strat = RedundantShare::new(&heterogeneous(n), k).expect("valid strategy");
     let engine = PlacementEngine::with_threads(strat.clone(), threads);
@@ -73,7 +60,7 @@ fn measure(n: usize, k: usize, quick: bool, threads: usize) -> Vec<Cell> {
     let mut out: Vec<BinId> = Vec::with_capacity(count * k);
     let mut cells = Vec::new();
 
-    let scalar = time_best(|| {
+    let scalar = time_best(REPS, || {
         let mut group = Vec::with_capacity(k);
         for &ball in &balls {
             strat.place_into(black_box(ball), &mut group);
@@ -88,7 +75,7 @@ fn measure(n: usize, k: usize, quick: bool, threads: usize) -> Vec<Cell> {
         elapsed_ns: scalar,
     });
 
-    let batch = time_best(|| {
+    let batch = time_best(REPS, || {
         strat.place_batch_into(black_box(&balls), &mut out);
         black_box(&out);
     });
@@ -100,7 +87,7 @@ fn measure(n: usize, k: usize, quick: bool, threads: usize) -> Vec<Cell> {
         elapsed_ns: batch,
     });
 
-    let parallel = time_best(|| {
+    let parallel = time_best(REPS, || {
         engine.place_batch_into(black_box(&balls), &mut out);
         black_box(&out);
     });

@@ -9,6 +9,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::time::Instant;
+
 /// Prints a section header for an experiment report.
 pub fn section(title: &str) {
     println!("\n=== {title} ===");
@@ -126,6 +128,58 @@ pub fn records_json(records: &[Record]) -> String {
     s
 }
 
+/// Best-of-`reps` wall-clock time of `run`, in nanoseconds.
+pub fn time_best<F: FnMut()>(reps: usize, mut run: F) -> u128 {
+    let mut best = u128::MAX;
+    for _ in 0..reps {
+        let start = Instant::now();
+        run();
+        best = best.min(start.elapsed().as_nanos());
+    }
+    best
+}
+
+/// One timed cell of a rate benchmark: `items` of `unit` processed by
+/// mode `mode` of benchmark `bench` in `elapsed_ns`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cell {
+    /// Benchmark name.
+    pub bench: &'static str,
+    /// Configuration measured (e.g. `cached`, `fused`).
+    pub mode: &'static str,
+    /// Work items processed per timed run.
+    pub items: u64,
+    /// Unit of `items` (e.g. `blocks`, `bytes`).
+    pub unit: &'static str,
+    /// Best wall-clock time of one run, in nanoseconds.
+    pub elapsed_ns: u128,
+}
+
+impl Cell {
+    /// Items processed per second.
+    #[must_use]
+    pub fn per_s(&self) -> f64 {
+        self.items as f64 / (self.elapsed_ns as f64 / 1e9)
+    }
+}
+
+/// The rate of mode `fast` over mode `slow` of benchmark `bench`.
+///
+/// # Panics
+///
+/// Panics if `cells` lacks either cell.
+#[must_use]
+pub fn speedup(cells: &[Cell], bench: &str, fast: &str, slow: &str) -> f64 {
+    let rate = |mode: &str| {
+        cells
+            .iter()
+            .find(|c| c.bench == bench && c.mode == mode)
+            .expect("cell present")
+            .per_s()
+    };
+    rate(fast) / rate(slow)
+}
+
 /// Formats a float with 4 decimal places (the precision used throughout
 /// the experiment reports).
 #[must_use]
@@ -166,6 +220,28 @@ mod tests {
             json.contains("{\"name\": \"overhead\", \"unit\": \"percent\", \"value\": 3.2500}\n")
         );
         assert_eq!(records_json(&[]), "  \"records\": [\n  ]");
+    }
+
+    #[test]
+    fn time_best_runs_every_rep() {
+        let mut runs = 0;
+        let best = time_best(3, || runs += 1);
+        assert_eq!(runs, 3);
+        assert!(best < u128::MAX);
+    }
+
+    #[test]
+    fn speedup_divides_the_two_rates() {
+        let cell = |mode, elapsed_ns| Cell {
+            bench: "read",
+            mode,
+            items: 1_000,
+            unit: "blocks",
+            elapsed_ns,
+        };
+        let cells = [cell("fast", 1_000_000), cell("slow", 4_000_000)];
+        assert_eq!(cells[0].per_s(), 1e6);
+        assert_eq!(speedup(&cells, "read", "fast", "slow"), 4.0);
     }
 
     #[test]

@@ -52,17 +52,6 @@ pub(crate) struct InlinePlacement {
 }
 
 impl InlinePlacement {
-    /// Builds from a slice of at most [`MAX_CACHED_SHARDS`] device ids.
-    pub(crate) fn from_slice(src: &[u64]) -> Self {
-        debug_assert!(src.len() <= MAX_CACHED_SHARDS);
-        let mut ids = [0u64; MAX_CACHED_SHARDS];
-        ids[..src.len()].copy_from_slice(src);
-        Self {
-            len: src.len() as u8,
-            ids,
-        }
-    }
-
     /// Starts an empty placement to be filled by a strategy emit loop.
     pub(crate) fn empty() -> Self {
         Self {
@@ -194,6 +183,15 @@ impl PlacementCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl InlinePlacement {
+        /// Builds from a slice of at most [`MAX_CACHED_SHARDS`] device ids.
+        fn from_slice(src: &[u64]) -> Self {
+            let mut p = Self::empty();
+            src.iter().for_each(|&id| p.push(id));
+            p
+        }
+    }
 
     #[test]
     fn hit_only_on_matching_epoch() {

@@ -226,21 +226,10 @@ impl Device {
             .fetch_add(self.profile.service_us(len), Ordering::Relaxed);
     }
 
-    pub(crate) fn load(&self, key: &ShardKey) -> Option<Vec<u8>> {
-        if self.state == DeviceState::Failed {
-            return None;
-        }
-        let data = self.shards.get(key).cloned();
-        if let Some(d) = &data {
-            self.count_read(d.len());
-        }
-        data
-    }
-
     /// Removes a shard and hands back its stored allocation — the read
     /// half of a zero-copy move. Counts one read exactly as
-    /// [`Device::load`] does; returns `None` (counting nothing) when the
-    /// device is failed or the shard is absent.
+    /// [`Device::load_into`] does; returns `None` (counting nothing) when
+    /// the device is failed or the shard is absent.
     pub(crate) fn take(&mut self, key: &ShardKey) -> Option<Vec<u8>> {
         if self.state == DeviceState::Failed {
             return None;
@@ -261,12 +250,10 @@ impl Device {
             .fetch_add(self.profile.service_us(len), Ordering::Relaxed);
     }
 
-    /// Copies a shard into a caller-provided buffer, avoiding the `Vec`
-    /// clone of [`Device::load`]. Returns `false` (without touching `out`
-    /// or the counters) when the device is failed, the shard is absent, or
-    /// the stored shard's length does not match `out` — the same cases in
-    /// which `load` would return `None` or the caller could not use the
-    /// data anyway.
+    /// Copies a shard into a caller-provided buffer and counts one read.
+    /// Returns `false` (without touching `out` or the counters) when the
+    /// device is failed, the shard is absent, or the stored shard's length
+    /// does not match `out`.
     pub(crate) fn load_into(&self, key: &ShardKey, out: &mut [u8]) -> bool {
         if self.state == DeviceState::Failed {
             return false;
@@ -301,6 +288,13 @@ impl Device {
 mod tests {
     use super::*;
 
+    /// The bytes stored under `key`, read through [`Device::load_into`]
+    /// into a `len`-byte buffer.
+    fn read(d: &Device, key: ShardKey, len: usize) -> Option<Vec<u8>> {
+        let mut buf = vec![0u8; len];
+        d.load_into(&key, &mut buf).then_some(buf)
+    }
+
     #[test]
     fn capacity_enforced() {
         let mut d = Device::new(1, 2);
@@ -312,7 +306,7 @@ mod tests {
         );
         // Overwrites of existing shards are always allowed.
         d.store((1, 0), vec![9]).unwrap();
-        assert_eq!(d.load(&(1, 0)), Some(vec![9]));
+        assert_eq!(read(&d, (1, 0), 1), Some(vec![9]));
     }
 
     #[test]
@@ -321,7 +315,7 @@ mod tests {
         d.store((0, 0), vec![1, 2, 3]).unwrap();
         d.fail();
         assert_eq!(d.state(), DeviceState::Failed);
-        assert_eq!(d.load(&(0, 0)), None);
+        assert_eq!(read(&d, (0, 0), 3), None);
         assert!(!d.has(&(0, 0)));
         assert_eq!(
             d.store((1, 0), vec![4]),
@@ -340,7 +334,7 @@ mod tests {
         );
         // Overwrites reuse the existing slot and are always allowed.
         d.store_from((1, 0), &[9, 9]).unwrap();
-        assert_eq!(d.load(&(1, 0)), Some(vec![9, 9]));
+        assert_eq!(read(&d, (1, 0), 2), Some(vec![9, 9]));
         d.fail();
         assert_eq!(
             d.store_from((0, 0), &[4]),
@@ -349,21 +343,29 @@ mod tests {
     }
 
     #[test]
-    fn load_into_matches_load() {
+    fn load_into_copies_and_counts_one_read() {
         let mut d = Device::new(3, 4);
         d.store((5, 1), vec![7, 8, 9]).unwrap();
         let mut buf = [0u8; 3];
         assert!(d.load_into(&(5, 1), &mut buf));
         assert_eq!(buf, [7, 8, 9]);
-        // Missing shard: untouched buffer, no read counted.
-        let before = d.stats();
+        let s = d.stats();
+        assert_eq!((s.reads, s.bytes_read), (1, 3));
+        assert_eq!(
+            s.busy_us,
+            d.profile().service_us(3) * 2,
+            "one write, one read"
+        );
+        // Absent key: untouched buffer, nothing counted.
         let mut other = [1u8; 3];
         assert!(!d.load_into(&(6, 0), &mut other));
         assert_eq!(other, [1u8; 3]);
-        assert_eq!(d.stats().reads, before.reads);
-        // Counters match what load would have recorded.
-        assert_eq!(d.stats().reads, 1);
-        assert_eq!(d.stats().bytes_read, 3);
+        assert_eq!(d.stats(), s);
+        // Failed device: untouched buffer, nothing counted.
+        d.fail();
+        assert!(!d.load_into(&(5, 1), &mut other));
+        assert_eq!(other, [1u8; 3]);
+        assert_eq!(d.stats(), s);
     }
 
     #[test]
@@ -397,7 +399,7 @@ mod tests {
         let mut d = Device::new(2, 10);
         d.store((0, 0), vec![0; 16]).unwrap();
         d.store((1, 1), vec![0; 16]).unwrap();
-        let _ = d.load(&(0, 0));
+        assert!(read(&d, (0, 0), 16).is_some());
         let s = d.stats();
         assert_eq!(s.writes, 2);
         assert_eq!(s.reads, 1);

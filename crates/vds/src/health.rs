@@ -35,7 +35,7 @@ pub(crate) struct ClusterMetrics {
     /// Successful block writes.
     pub(crate) writes_total: Arc<Counter>,
     /// Latency of successful block reads, in nanoseconds (sampled — see
-    /// `LATENCY_SAMPLE` in `cluster.rs`; the read counters stay exact).
+    /// `LATENCY_SAMPLE` in `cluster/io.rs`; the read counters stay exact).
     pub(crate) read_latency_ns: Arc<Histogram>,
     /// Shard moves contained in dry-run migration plans.
     pub(crate) migration_moves_planned_total: Arc<Counter>,

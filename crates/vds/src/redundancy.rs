@@ -6,7 +6,7 @@
 //! erasure-coded data ("each sub-block has a different meaning and
 //! therefore has to be handled differently").
 
-use rshare_erasure::{ErasureCode, ErasureError, EvenOdd, MatrixCode, Rdp, ReedSolomon, XorParity};
+use rshare_erasure::{ErasureCode, EvenOdd, MatrixCode, Rdp, ReedSolomon, XorParity};
 
 use crate::error::VdsError;
 
@@ -109,45 +109,6 @@ impl Redundancy {
             )?)),
         })
     }
-
-    /// Reassembles a logical block from (possibly incomplete) shards.
-    pub(crate) fn decode_block(
-        &self,
-        mut shards: Vec<Option<Vec<u8>>>,
-        codec: Option<&dyn ErasureCode>,
-        lba: u64,
-    ) -> Result<Vec<u8>, VdsError> {
-        match self {
-            Self::Mirror { .. } => shards
-                .into_iter()
-                .flatten()
-                .next()
-                .ok_or(VdsError::DataLoss { lba }),
-            _ => {
-                let codec = codec.expect("erasure scheme has a codec");
-                codec.reconstruct(&mut shards).map_err(|e| match e {
-                    ErasureError::TooManyErasures { .. } => VdsError::DataLoss { lba },
-                    other => VdsError::Erasure(other),
-                })?;
-                let mut block = Vec::new();
-                for shard in shards.into_iter().take(codec.data_shards()) {
-                    block.extend_from_slice(&shard.expect("reconstructed"));
-                }
-                Ok(block)
-            }
-        }
-    }
-
-    /// The divisor the cluster block size must satisfy.
-    pub(crate) fn block_multiple(&self, codec: Option<&dyn ErasureCode>) -> usize {
-        match self {
-            Self::Mirror { .. } => 1,
-            _ => {
-                let codec = codec.expect("erasure scheme has a codec");
-                codec.data_shards() * codec.shard_multiple()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,6 +124,16 @@ mod tests {
         shards.resize(codec.total_shards(), vec![0u8; shard_len]);
         codec.encode(&mut shards).unwrap();
         shards
+    }
+
+    /// Reconstructs the missing shards and reassembles the block from the
+    /// data shards — the cluster's degraded-read decode.
+    fn decode(codec: &dyn ErasureCode, mut shards: Vec<Option<Vec<u8>>>) -> Vec<u8> {
+        codec.reconstruct(&mut shards).unwrap();
+        shards[..codec.data_shards()]
+            .iter()
+            .flat_map(|s| s.clone().unwrap())
+            .collect()
     }
 
     #[test]
@@ -183,20 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn mirror_roundtrip() {
-        let scheme = Redundancy::Mirror { copies: 2 };
-        let codec = scheme.codec().unwrap();
-        let block = scheme
-            .decode_block(vec![None, Some(vec![1, 2, 3])], codec.as_deref(), 0)
-            .unwrap();
-        assert_eq!(block, vec![1, 2, 3]);
-        assert!(matches!(
-            scheme.decode_block(vec![None, None], codec.as_deref(), 7),
-            Err(VdsError::DataLoss { lba: 7 })
-        ));
-    }
-
-    #[test]
     fn erasure_roundtrip_with_loss() {
         let scheme = Redundancy::ReedSolomon { data: 4, parity: 2 };
         let codec = scheme.codec().unwrap();
@@ -206,7 +163,7 @@ mod tests {
         let mut opt: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
         opt[0] = None;
         opt[5] = None;
-        let got = scheme.decode_block(opt, codec.as_deref(), 0).unwrap();
+        let got = decode(codec.as_deref().unwrap(), opt);
         assert_eq!(got, block);
     }
 
@@ -237,7 +194,7 @@ mod tests {
         opt[0] = None;
         opt[3] = None;
         opt[6] = None;
-        let got = scheme.decode_block(opt, codec.as_deref(), 0).unwrap();
+        let got = decode(codec.as_deref().unwrap(), opt);
         assert_eq!(got, block);
     }
 

@@ -136,12 +136,27 @@ fn erasure_repair_counts_repaired_blocks_exactly() {
     // Knock out one data shard on a handful of blocks.
     let victims: &[u64] = &[3, 17, 29, 41, 58];
     for &lba in victims {
-        assert!(cluster.inject_shard_loss(lba, 0));
+        assert!(cluster.inject_shard_loss(lba, 1));
     }
     assert_eq!(cluster.degraded_block_count(), victims.len() as u64);
 
     // Reading a damaged block reconstructs — and says so, once per read.
+    // Each surviving shard is read exactly once, from its own device:
+    // shard 0 by the fast path, which the reconstruction reuses, then
+    // parity shard 2. The device that lost shard 1 serves nothing.
+    let reads = |c: &StorageCluster| -> Vec<u64> {
+        c.device_ids()
+            .iter()
+            .map(|&id| c.device(id).unwrap().stats().reads)
+            .collect()
+    };
+    let before = reads(&cluster);
     assert_eq!(cluster.read_block(victims[0]).unwrap(), payload(victims[0]));
+    let placement = cluster.placement(victims[0]);
+    for (i, &id) in cluster.device_ids().iter().enumerate() {
+        let want = u64::from(id == placement[0] || id == placement[2]);
+        assert_eq!(reads(&cluster)[i] - before[i], want, "device {id}");
+    }
     assert_eq!(counter(&cluster, "degraded_reads_total"), 1);
 
     // Repair re-stores the missing shards: the block counter advances by

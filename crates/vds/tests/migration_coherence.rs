@@ -7,12 +7,16 @@
 //! written, and every placement matches a freshly built cluster over the
 //! same device set. A second property pins the paper's Lemma 3.2 bound:
 //! the planned migration for a single-device add or remove moves at most
-//! 4× the fair minimum.
+//! 4× the fair minimum. A third pins the bulk placement scans against the
+//! per-block resolver: under random writes, shard losses and a partially
+//! drained lazy add, every planned move starts where `placement` says the
+//! shard lives, and `scrub`, `degraded_block_count` and `repair` agree on
+//! how many blocks are damaged.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use rshare_vds::{Redundancy, StorageCluster, VdsError};
+use rshare_vds::{MigrationPlan, Redundancy, StorageCluster, VdsError};
 
 const BLOCKS: u64 = 96;
 const BLOCK_SIZE: usize = 64;
@@ -90,8 +94,96 @@ fn apply_op(
     Ok(())
 }
 
+/// A three-way mirror, so losing copies 0 and 1 of a block still leaves
+/// copy 2 to repair from.
+fn mirror3_cluster() -> StorageCluster {
+    StorageCluster::builder()
+        .block_size(BLOCK_SIZE)
+        .redundancy(Redundancy::Mirror { copies: 3 })
+        .device(0, 8_000)
+        .device(1, 10_000)
+        .device(2, 12_000)
+        .device(3, 9_000)
+        .device(4, 11_000)
+        .build()
+        .unwrap()
+}
+
+/// Every move of `plan` starts on the device the per-block resolver names
+/// for that shard.
+fn assert_moves_start_at_placement(
+    c: &StorageCluster,
+    plan: &MigrationPlan,
+) -> Result<(), TestCaseError> {
+    for m in &plan.moves {
+        prop_assert_eq!(
+            c.placement(m.lba)[m.copy],
+            m.from,
+            "move of lba {} copy {} planned from the wrong device",
+            m.lba,
+            m.copy
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// The bulk scans behind planning, `degraded_block_count` and `repair`
+    /// resolve old and pending placements exactly as `placement` does,
+    /// under random writes, shard losses and a partially drained lazy add.
+    #[test]
+    fn bulk_scans_match_per_block_resolver(
+        ops in prop::collection::vec((0u8..3, any::<u64>()), 1..10),
+        drain in 0u64..BLOCKS,
+    ) {
+        let mut c = mirror3_cluster();
+        for lba in 0..BLOCKS {
+            c.write_block(lba, &payload(lba, 0)).unwrap();
+        }
+        let mut next_id = 10u64;
+        for &(op, seed) in &ops {
+            let lba = seed % BLOCKS;
+            match op {
+                0 => c.write_block(lba, &payload(lba, seed as u8)).unwrap(),
+                // Copies 0 and 1 only: copy 2 always survives to repair from.
+                1 => {
+                    c.inject_shard_loss(lba, (seed >> 32) as usize % 2);
+                }
+                _ => {
+                    c.add_device_lazy(next_id, 7_000 + seed % 5_000).unwrap();
+                    next_id += 1;
+                }
+            }
+        }
+        // Leave a lazy migration partially drained behind.
+        if c.pending_blocks() == 0 {
+            c.add_device_lazy(next_id, 9_000).unwrap();
+            next_id += 1;
+        }
+        c.migrate_batch(drain).unwrap();
+        prop_assume!(c.pending_blocks() > 0);
+
+        let add = c.plan_add_device(next_id, 10_000).unwrap();
+        prop_assert!(!add.moves.is_empty());
+        assert_moves_start_at_placement(&c, &add)?;
+
+        let degraded = c.degraded_block_count();
+        prop_assert_eq!(c.scrub().unwrap(), degraded);
+        let registry = c.metrics_registry().unwrap();
+        let repairs = registry.counter("repair_blocks_total", "");
+        let before = repairs.get();
+        c.repair().unwrap();
+        prop_assert_eq!(repairs.get() - before, degraded);
+        prop_assert_eq!(c.degraded_block_count(), 0);
+
+        let victim = c.device_ids()[(drain % 5) as usize];
+        c.fail_device(victim).unwrap();
+        let rebuild = c.plan_rebuild().unwrap();
+        prop_assert!(rebuild.moves.iter().any(|m| m.from == victim));
+        assert_moves_start_at_placement(&c, &rebuild)?;
+    }
 
     /// After random membership churn and a final `rebalance`, served data
     /// is byte-identical to what was written and every placement matches
