@@ -24,9 +24,10 @@
 //! workload for CI; the report shape is identical.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use rshare_bench::{f, print_table, records_json, section, speedup, time_best, Cell, Record};
+use rshare_bench::{
+    f, print_table, records_json, section, speedup, time_best, time_best_pair, Cell, Record,
+};
 use rshare_erasure::gf256::KernelTier;
 use rshare_erasure::{gf256, ErasureCode, MatrixCode, ReedSolomon};
 use rshare_vds::{Redundancy, StorageCluster};
@@ -38,28 +39,6 @@ const REPS: usize = 5;
 /// so an uncached lookup pays the full O(n) Algorithm-4 scan, as a small
 /// real deployment would.
 const DEVICES: u64 = 48;
-
-/// Best-of-[`REPS`] for two bodies measured as an interleaved pair: each
-/// rep times `a` then `b` back to back, so a machine-load phase slower
-/// than one rep hits both sides equally instead of skewing whichever
-/// side's measurement window it landed in. Each timed run is preceded by
-/// an untimed run of the same body — the comparison is steady-state, and
-/// the alternation would otherwise let each side evict the other's
-/// working set between reps.
-fn time_best_pair<A: FnMut(), B: FnMut()>(mut a: A, mut b: B) -> (u128, u128) {
-    let (mut best_a, mut best_b) = (u128::MAX, u128::MAX);
-    for _ in 0..REPS {
-        a();
-        let start = Instant::now();
-        a();
-        best_a = best_a.min(start.elapsed().as_nanos());
-        b();
-        let start = Instant::now();
-        b();
-        best_b = best_b.min(start.elapsed().as_nanos());
-    }
-    (best_a, best_b)
-}
 
 fn cluster(block_size: usize, cache: bool) -> StorageCluster {
     let mut b = StorageCluster::builder()
@@ -235,6 +214,7 @@ fn bench_stripe_writes(quick: bool, cells: &mut Vec<Cell>) {
     let mut c_fused = rs_cluster(block_size);
     c_fused.write_blocks(&lbas, &data).expect("pre-write");
     let (loop_ns, fused_ns) = time_best_pair(
+        REPS,
         || {
             for _ in 0..rounds {
                 for (&lba, chunk) in lbas.iter().zip(data.chunks_exact(block_size)) {
@@ -288,6 +268,7 @@ fn bench_repair(quick: bool, cells: &mut Vec<Cell>) {
     let mut c_fused = rs_cluster(block_size);
     c_fused.write_blocks(&lbas, &data).expect("pre-write");
     let (loop_ns, fused_ns) = time_best_pair(
+        REPS,
         || {
             for lba in (0..working_set).step_by(damage_stride as usize) {
                 assert!(c_loop.inject_shard_loss(black_box(lba), 0), "loss injected");

@@ -62,6 +62,8 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 /// without knowing each report's shape: a named scalar, its unit, and —
 /// when the binary also measured a reference configuration (serial,
 /// uncached, metrics-off, …) — that baseline value for the same quantity.
+/// A record measured over repetitions carries their spread: the value is
+/// then the median, rendered with the `"min"` and `"max"` beside it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Series name, `snake_case`, unique within one report.
@@ -72,6 +74,8 @@ pub struct Record {
     pub value: f64,
     /// The same quantity in the reference configuration, if one exists.
     pub baseline: Option<f64>,
+    /// `(min, max)` over the repetitions `value` is the median of, if any.
+    pub spread: Option<(f64, f64)>,
 }
 
 impl Record {
@@ -83,6 +87,22 @@ impl Record {
             unit,
             value,
             baseline: None,
+            spread: None,
+        }
+    }
+
+    /// A record of repeated measurements: the median of `samples`, with
+    /// their min and max as its spread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    #[must_use]
+    pub fn with_spread(name: impl Into<String>, unit: &'static str, samples: &[f64]) -> Self {
+        let (min, median, max) = min_median_max(samples);
+        Self {
+            spread: Some((min, max)),
+            ..Self::new(name, unit, median)
         }
     }
 
@@ -95,12 +115,26 @@ impl Record {
         baseline: f64,
     ) -> Self {
         Self {
-            name: name.into(),
-            unit,
-            value,
             baseline: Some(baseline),
+            ..Self::new(name, unit, value)
         }
     }
+}
+
+/// The minimum, median and maximum of `samples`; the median of an even
+/// count is the mean of the middle two.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+#[must_use]
+pub fn min_median_max(samples: &[f64]) -> (f64, f64, f64) {
+    assert!(!samples.is_empty(), "no samples");
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    let median = (sorted[(n - 1) / 2] + sorted[n / 2]) / 2.0;
+    (sorted[0], median, sorted[n - 1])
 }
 
 /// Renders the unified `"records": [...]` JSON fragment (hand-rolled —
@@ -118,6 +152,9 @@ pub fn records_json(records: &[Record]) -> String {
         if let Some(b) = r.baseline {
             s.push_str(&format!(", \"baseline\": {b:.4}"));
         }
+        if let Some((min, max)) = r.spread {
+            s.push_str(&format!(", \"min\": {min:.4}, \"max\": {max:.4}"));
+        }
         s.push('}');
         if i + 1 != records.len() {
             s.push(',');
@@ -128,15 +165,42 @@ pub fn records_json(records: &[Record]) -> String {
     s
 }
 
+/// Wall-clock time of each of `reps` runs of `run`, in nanoseconds.
+pub fn time_each<F: FnMut()>(reps: usize, mut run: F) -> Vec<u128> {
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            run();
+            start.elapsed().as_nanos()
+        })
+        .collect()
+}
+
 /// Best-of-`reps` wall-clock time of `run`, in nanoseconds.
-pub fn time_best<F: FnMut()>(reps: usize, mut run: F) -> u128 {
-    let mut best = u128::MAX;
+pub fn time_best<F: FnMut()>(reps: usize, run: F) -> u128 {
+    time_each(reps, run).into_iter().min().unwrap_or(u128::MAX)
+}
+
+/// Best-of-`reps` for two bodies measured as an interleaved pair, in
+/// nanoseconds: each rep times `a` then `b` back to back, so a
+/// machine-load phase slower than one rep hits both sides equally instead
+/// of skewing whichever side's measurement window it landed in. Each
+/// timed run is preceded by an untimed run of the same body — the
+/// comparison is steady-state, and the alternation would otherwise let
+/// each side evict the other's working set between reps.
+pub fn time_best_pair<A: FnMut(), B: FnMut()>(reps: usize, mut a: A, mut b: B) -> (u128, u128) {
+    let (mut best_a, mut best_b) = (u128::MAX, u128::MAX);
     for _ in 0..reps {
+        a();
         let start = Instant::now();
-        run();
-        best = best.min(start.elapsed().as_nanos());
+        a();
+        best_a = best_a.min(start.elapsed().as_nanos());
+        b();
+        let start = Instant::now();
+        b();
+        best_b = best_b.min(start.elapsed().as_nanos());
     }
-    best
+    (best_a, best_b)
 }
 
 /// One timed cell of a rate benchmark: `items` of `unit` processed by
@@ -220,6 +284,41 @@ mod tests {
             json.contains("{\"name\": \"overhead\", \"unit\": \"percent\", \"value\": 3.2500}\n")
         );
         assert_eq!(records_json(&[]), "  \"records\": [\n  ]");
+    }
+
+    #[test]
+    fn spread_records_render_min_and_max() {
+        let r = Record::with_spread("scrape", "ms", &[3.0, 1.0, 2.0, 10.0]);
+        assert_eq!((r.value, r.spread), (2.5, Some((1.0, 10.0))));
+        assert_eq!(min_median_max(&[4.0, 1.0, 2.0]), (1.0, 2.0, 4.0));
+        assert_eq!(
+            records_json(&[r]),
+            "  \"records\": [\n    {\"name\": \"scrape\", \"unit\": \"ms\", \
+             \"value\": 2.5000, \"min\": 1.0000, \"max\": 10.0000}\n  ]"
+        );
+    }
+
+    #[test]
+    fn time_each_times_every_rep() {
+        let mut runs = 0;
+        assert_eq!(time_each(4, || runs += 1).len(), 4);
+        assert_eq!(runs, 4);
+    }
+
+    #[test]
+    fn time_best_pair_warms_and_times_both_sides_per_rep() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let (a, b) = time_best_pair(
+            3,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        // One untimed and one timed run per side per rep, `a` first.
+        assert_eq!(
+            order.into_inner().iter().collect::<String>(),
+            "aabbaabbaabb"
+        );
+        assert!(a < u128::MAX && b < u128::MAX);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! membership changes and in-place repair — runs through one two-pass,
 //! all-or-nothing block-op executor.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use super::placement::{flat_placement, ClusterStrategy};
 use super::{StorageCluster, MIGRATION_CHUNK_BLOCKS};
@@ -47,6 +47,9 @@ impl StorageCluster {
         if !pending.remaining.is_empty() {
             self.pending = Some(pending);
         }
+        if result.is_err() {
+            self.damage = None;
+        }
         result.map(|()| report)
     }
 
@@ -73,7 +76,10 @@ impl StorageCluster {
     /// computed location changed, a chunk at a time through the serial
     /// two-pass executor. Shards whose old location is gone are
     /// reconstructed from the group's redundancy (each degraded stripe is
-    /// decoded exactly once, however many of its shards need rebuilding).
+    /// decoded exactly once, however many of its shards need rebuilding),
+    /// and unchanged blocks the damage ledger lists are repaired in place.
+    /// A pass that returns `Ok` leaves every block complete, so the ledger
+    /// is known and empty after it; an `Err` leaves it unknown.
     pub(super) fn replace_strategy(
         &mut self,
         new_strategy: ClusterStrategy,
@@ -91,19 +97,22 @@ impl StorageCluster {
         let lbas: Vec<u64> = self.blocks.iter().copied().collect();
         let mut report = MigrationReport::default();
         let mut old_flat: Vec<u64> = Vec::new();
-        for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
+        let result = lbas.chunks(MIGRATION_CHUNK_BLOCKS).try_for_each(|chunk| {
             flat_placement(&old_strategy, absorbed.as_ref(), chunk, &mut old_flat);
             report.merge(self.rebalance_chunk(chunk, &old_flat, true)?);
-        }
-        Ok(report)
+            Ok(())
+        });
+        self.damage = result.is_ok().then(BTreeSet::new);
+        result.map(|()| report)
     }
 
     /// Migrates one chunk of blocks from their `old_flat` placements (flat
     /// stride-k device ids, parallel to `lbas`) to the current target
     /// strategy. Blocks whose placement is unchanged are skipped without
     /// touching any device — unless `repair_unchanged` is set, in which
-    /// case blocks missing a shard at an unchanged location are re-stored
-    /// (the membership-change path repairs latent losses in passing).
+    /// case blocks the damage ledger suspects are probed and, if missing
+    /// a shard at an unchanged location, re-stored (the membership-change
+    /// path repairs latent losses in passing).
     fn rebalance_chunk(
         &mut self,
         lbas: &[u64],
@@ -122,7 +131,9 @@ impl StorageCluster {
             .filter(|&j| {
                 let new = &new_flat[j * k..(j + 1) * k];
                 old_flat[j * k..(j + 1) * k] != *new
-                    || (repair_unchanged && self.missing_shard(lbas[j], new))
+                    || (repair_unchanged
+                        && self.may_be_damaged(lbas[j])
+                        && self.missing_shard(lbas[j], new))
             })
             .collect();
         if work.is_empty() {

@@ -51,11 +51,18 @@ impl StorageCluster {
             .collect();
         FairnessReport::compute(&rows)
     }
+
     /// A point-in-time health summary: device counts, migration debt,
     /// degraded blocks and the fairness report. When metrics are enabled
     /// the corresponding gauges (`pending_blocks`, `degraded_blocks`,
     /// `devices_online`, `devices_failed`) are refreshed as a side effect,
     /// so scraping after a snapshot always sees current values.
+    ///
+    /// Cost: the degraded count comes from
+    /// [`StorageCluster::degraded_block_count`] — only the blocks the
+    /// damage ledger lists while it is known, every block while it is
+    /// unknown (after a device failure or a failed mutation); the rest is
+    /// O(devices).
     #[must_use]
     pub fn health_snapshot(&self) -> HealthSnapshot {
         let devices_online = self
@@ -93,6 +100,12 @@ impl StorageCluster {
     /// enabled), scrape-time cluster families (fairness, cache, placement
     /// counters), one labelled series per device for the I/O statistics,
     /// and the process-wide GF(256) kernel tallies.
+    ///
+    /// Cost: one [`StorageCluster::health_snapshot`] plus O(devices +
+    /// series) of rendering. With the damage ledger known, a scrape does
+    /// not depend on the block count (well under a millisecond on a
+    /// 64-device, 64 Ki-block cluster); with it unknown, the snapshot
+    /// checks every block.
     #[must_use]
     pub fn export_prometheus(&self) -> String {
         let snap = self.health_snapshot(); // refreshes the health gauges

@@ -51,6 +51,17 @@ impl StorageCluster {
     ///   lazy migration stays pending, so it keeps reading from its old
     ///   copies.
     pub fn write_blocks(&mut self, lbas: &[u64], data: &[u8]) -> Result<(), VdsError> {
+        let result = self.store_blocks(lbas, data);
+        if result.is_err() {
+            // A failed write may leave a block part-stored; the damage
+            // ledger no longer vouches for it.
+            self.damage = None;
+        }
+        result
+    }
+
+    /// The body of [`StorageCluster::write_blocks`].
+    fn store_blocks(&mut self, lbas: &[u64], data: &[u8]) -> Result<(), VdsError> {
         let expected = lbas.len() * self.block_size;
         if data.len() != expected {
             return Err(VdsError::WrongBlockSize {

@@ -143,6 +143,9 @@ impl StorageCluster {
             .get_mut(&id)
             .ok_or(VdsError::UnknownDevice { id })?;
         dev.fail();
+        // Every block with a shard on it is now damaged; finding them
+        // takes a scan, which the next damage check runs.
+        self.damage = None;
         Ok(())
     }
 

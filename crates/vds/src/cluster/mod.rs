@@ -18,8 +18,8 @@
 //! [`StorageCluster`] type: `placement` (the engine and the placement
 //! resolver), `io` (write pipeline and reads), `membership` (device
 //! changes and dry-run plans), `executor` (the two-pass migration
-//! executor), `repair` (damage check, scrub, repair, reconstruction) and
-//! `export` (health and the Prometheus exposition).
+//! executor), `repair` (damage ledger and check, scrub, repair,
+//! reconstruction) and `export` (health and the Prometheus exposition).
 
 mod executor;
 mod export;
@@ -208,6 +208,7 @@ impl ClusterBuilder {
             strategy: None,
             block_size: self.block_size,
             blocks: BTreeSet::new(),
+            damage: Some(BTreeSet::new()),
             pending: None,
             cache: PlacementCache::new(),
             cache_enabled: self.placement_cache,
@@ -230,6 +231,11 @@ pub struct StorageCluster {
     block_size: usize,
     /// Logical block addresses that have been written.
     blocks: BTreeSet<u64>,
+    /// The damage ledger: written blocks that may be missing a shard at
+    /// their effective placement, or `None` while unknown. When known it
+    /// holds every block that is missing one, so damage checks visit only
+    /// its blocks (DESIGN.md §6 lists the transitions).
+    damage: Option<BTreeSet<u64>>,
     /// In-flight lazy migration, if any.
     pending: Option<PendingMigration>,
     /// Cache of target-strategy placements, keyed by block address and

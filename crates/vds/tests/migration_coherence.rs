@@ -11,12 +11,15 @@
 //! per-block resolver: under random writes, shard losses and a partially
 //! drained lazy add, every planned move starts where `placement` says the
 //! shard lives, and `scrub`, `degraded_block_count` and `repair` agree on
-//! how many blocks are damaged.
+//! how many blocks are damaged. A fourth pins `degraded_block_count`
+//! against `scrub`'s full scan after every step of a random run of
+//! writes, shard losses, device failures, failed writes, eager and lazy
+//! membership changes, rebuilds and repairs.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use rshare_vds::{MigrationPlan, Redundancy, StorageCluster, VdsError};
+use rshare_vds::{DeviceState, MigrationPlan, Redundancy, StorageCluster, VdsError};
 
 const BLOCKS: u64 = 96;
 const BLOCK_SIZE: usize = 64;
@@ -125,6 +128,70 @@ fn assert_moves_start_at_placement(
         );
     }
     Ok(())
+}
+
+/// Ids of the online devices, ascending.
+fn online(c: &StorageCluster) -> Vec<u64> {
+    c.device_ids()
+        .into_iter()
+        .filter(|&id| c.device(id).unwrap().state() == DeviceState::Online)
+        .collect()
+}
+
+/// Applies one step of the damage run to a three-way mirror. Every step
+/// stays within the redundancy's tolerance: losses hit copy 0 only and at
+/// most one device is failed at a time, so each block keeps a copy. Steps
+/// may still return an error (a write or a drain onto the failed device,
+/// a repair that cannot store onto it); the run goes on regardless.
+fn damage_step(c: &mut StorageCluster, op: u8, seed: u64, next_id: &mut u64) {
+    let failed = c.device_ids().len() > online(c).len();
+    // A few addresses past the written range: a failed write leaves
+    // shards behind for a block that was never acknowledged.
+    let lba = seed % (BLOCKS + 8);
+    match op {
+        0 => {
+            let lbas = [lba, (lba + 17) % (BLOCKS + 8)];
+            let data = [payload(lbas[0], seed as u8), payload(lbas[1], seed as u8)].concat();
+            // Errors when a target device is failed.
+            let _ = c.write_blocks(&lbas, &data);
+        }
+        1 => {
+            c.inject_shard_loss(lba, 0);
+        }
+        2 => {
+            if !failed && online(c).len() > 3 {
+                let ids = online(c);
+                c.fail_device(ids[(seed % ids.len() as u64) as usize])
+                    .unwrap();
+            }
+        }
+        3 => {
+            c.rebuild().unwrap();
+        }
+        4 => {
+            c.add_device(*next_id, 7_000 + seed % 5_000).unwrap();
+            *next_id += 1;
+        }
+        5 => {
+            let ids = online(c);
+            if ids.len() > 3 {
+                c.remove_device(ids[(seed % ids.len() as u64) as usize])
+                    .unwrap();
+            }
+        }
+        6 => {
+            // Drains any migration still in flight first, which errors
+            // when its targets include the failed device.
+            if c.add_device_lazy(*next_id, 9_000).is_ok() {
+                *next_id += 1;
+            }
+            let _ = c.migrate_batch(seed % BLOCKS);
+        }
+        _ => {
+            // Cannot store onto a failed device.
+            let _ = c.repair();
+        }
+    }
 }
 
 proptest! {
@@ -269,5 +336,27 @@ proptest! {
             (1.0..=4.0).contains(&remove_ratio),
             "remove ratio {} outside [1, 4]", remove_ratio
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `degraded_block_count` equals the count of `scrub`'s full scan
+    /// after every step of a random damage run.
+    #[test]
+    fn degraded_count_matches_scrub_after_every_step(
+        steps in prop::collection::vec((0u8..8, any::<u64>()), 1..24),
+    ) {
+        let mut c = mirror3_cluster();
+        for lba in 0..BLOCKS {
+            c.write_block(lba, &payload(lba, 0)).unwrap();
+        }
+        let mut next_id = 10u64;
+        for (i, &(op, seed)) in steps.iter().enumerate() {
+            damage_step(&mut c, op, seed, &mut next_id);
+            let degraded = c.degraded_block_count();
+            prop_assert_eq!(c.scrub(), Ok(degraded), "step {} (op {})", i, op);
+        }
     }
 }
