@@ -1,35 +1,61 @@
-//! Placement-engine throughput report: scalar vs batch vs parallel.
+//! Placement throughput report: scalar vs batch queries, and the build
+//! time of the O(k) strategy.
 //!
-//! Measures end-to-end placement throughput (placements per second) of the
-//! three query paths over [`RedundantShare`] — per-ball `place_into`, flat
-//! `place_batch_into`, and the multi-threaded [`PlacementEngine`] — for
-//! k ∈ {2, 3, 4} and n ∈ {16, 256, 4096}, prints a table, and writes the
-//! raw numbers to `BENCH_throughput.json` for machine consumption (CI
-//! smoke-checks that the file parses).
+//! Measures placement throughput (placements per second) of the two query
+//! paths over [`RedundantShare`] — per-ball `place_into` and flat
+//! `place_batch_into` — for k ∈ {2, 3, 4} and n ∈ {16, 256, 4096}. It also
+//! times [`FastRedundantShare::new`] at n ∈ {64, 256, 1024}, k = 2: the
+//! table build a cluster on the O(k) strategy runs on every membership
+//! change. Every cell is the median of its reps, recorded with its min and
+//! max. Prints the tables and writes the raw numbers to
+//! `BENCH_throughput.json` for machine consumption (CI smoke-checks that
+//! the file parses).
 //!
-//! Pass `--quick` to shrink the workload ~8× (CI smoke mode); the numbers
-//! get noisier but the report shape is identical.
+//! Pass `--quick` to shrink the query workload ~8× (CI smoke mode); the
+//! numbers get noisier but the report shape is identical.
 
 use std::hint::black_box;
 
-use rshare_bench::{f, print_table, records_json, section, time_best, Record};
-use rshare_core::{BinId, BinSet, PlacementEngine, PlacementStrategy, RedundantShare};
+use rshare_bench::{f, min_median_max, print_table, records_json, section, time_each, Record};
+use rshare_core::{BinId, BinSet, FastRedundantShare, PlacementStrategy, RedundantShare};
 
-/// Timing repetitions per cell; the best (minimum) time is reported.
-const REPS: usize = 3;
+/// Timing repetitions per query cell.
+const REPS: usize = 5;
 
+/// Timing repetitions per strategy-build cell.
+const BUILD_REPS: usize = 21;
+
+/// Device counts the strategy build is timed at.
+const BUILD_SIZES: [usize; 3] = [64, 256, 1024];
+
+/// One query path at one `(n, k)`: the wall-clock time of every rep.
 struct Cell {
     n: usize,
     k: usize,
     mode: &'static str,
     balls: usize,
-    elapsed_ns: u128,
+    elapsed_ns: Vec<u128>,
 }
 
 impl Cell {
-    fn placements_per_s(&self) -> f64 {
-        self.balls as f64 / (self.elapsed_ns as f64 / 1e9)
+    /// Placements per second of every rep.
+    fn rates(&self) -> Vec<f64> {
+        self.elapsed_ns
+            .iter()
+            .map(|&ns| self.balls as f64 / (ns as f64 / 1e9))
+            .collect()
     }
+
+    fn median_rate(&self) -> f64 {
+        min_median_max(&self.rates()).1
+    }
+}
+
+/// Build times of `FastRedundantShare::new` at `n` devices, in ms.
+struct Build {
+    n: usize,
+    k: usize,
+    ms: Vec<f64>,
 }
 
 fn heterogeneous(n: usize) -> BinSet {
@@ -52,151 +78,161 @@ fn balls_for(n: usize, quick: bool) -> usize {
     }
 }
 
-fn measure(n: usize, k: usize, quick: bool, threads: usize) -> Vec<Cell> {
+fn measure(n: usize, k: usize, quick: bool) -> [Cell; 2] {
     let strat = RedundantShare::new(&heterogeneous(n), k).expect("valid strategy");
-    let engine = PlacementEngine::with_threads(strat.clone(), threads);
     let count = balls_for(n, quick);
     let balls: Vec<u64> = (0..count as u64).map(|b| b.wrapping_mul(0x9E37)).collect();
     let mut out: Vec<BinId> = Vec::with_capacity(count * k);
-    let mut cells = Vec::new();
+    let cell = |mode, elapsed_ns| Cell {
+        n,
+        k,
+        mode,
+        balls: count,
+        elapsed_ns,
+    };
 
-    let scalar = time_best(REPS, || {
+    let scalar = time_each(REPS, || {
         let mut group = Vec::with_capacity(k);
         for &ball in &balls {
             strat.place_into(black_box(ball), &mut group);
             black_box(&group);
         }
     });
-    cells.push(Cell {
-        n,
-        k,
-        mode: "scalar",
-        balls: count,
-        elapsed_ns: scalar,
-    });
-
-    let batch = time_best(REPS, || {
+    let batch = time_each(REPS, || {
         strat.place_batch_into(black_box(&balls), &mut out);
         black_box(&out);
     });
-    cells.push(Cell {
-        n,
-        k,
-        mode: "batch",
-        balls: count,
-        elapsed_ns: batch,
-    });
+    [cell("scalar", scalar), cell("batch", batch)]
+}
 
-    let parallel = time_best(REPS, || {
-        engine.place_batch_into(black_box(&balls), &mut out);
-        black_box(&out);
-    });
-    cells.push(Cell {
-        n,
-        k,
-        mode: "parallel",
-        balls: count,
-        elapsed_ns: parallel,
-    });
-    cells
+fn measure_build(n: usize, k: usize) -> Build {
+    let set = heterogeneous(n);
+    let ms = time_each(BUILD_REPS, || {
+        black_box(FastRedundantShare::new(black_box(&set), k).expect("valid strategy"));
+    })
+    .into_iter()
+    .map(|ns| ns as f64 / 1e6)
+    .collect();
+    Build { n, k, ms }
 }
 
 /// Hand-rolled JSON (no serde in the dependency set): the report is flat
 /// enough that string assembly stays readable.
-fn to_json(cells: &[Cell], threads: usize, quick: bool) -> String {
+fn to_json(cells: &[Cell], builds: &[Build], quick: bool) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!(
-        "  \"config\": {{\"threads\": {threads}, \"quick\": {quick}, \"reps\": {REPS}}},\n"
+        "  \"config\": {{\"quick\": {quick}, \"reps\": {REPS}, \"build_reps\": {BUILD_REPS}}},\n"
     ));
     s.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
+        let elapsed: Vec<f64> = c.elapsed_ns.iter().map(|&ns| ns as f64).collect();
         s.push_str(&format!(
-            "    {{\"n\": {}, \"k\": {}, \"mode\": \"{}\", \"balls\": {}, \"elapsed_ns\": {}, \"placements_per_s\": {:.1}}}{}\n",
+            "    {{\"n\": {}, \"k\": {}, \"mode\": \"{}\", \"balls\": {}, \"elapsed_ns\": {:.0}, \"placements_per_s\": {:.1}}}{}\n",
             c.n,
             c.k,
             c.mode,
             c.balls,
-            c.elapsed_ns,
-            c.placements_per_s(),
+            min_median_max(&elapsed).1,
+            c.median_rate(),
             if i + 1 == cells.len() { "" } else { "," }
         ));
     }
     s.push_str("  ],\n");
-    s.push_str(&records_json(&records(cells)));
+    s.push_str(&records_json(&records(cells, builds)));
     s.push_str("\n}\n");
     s
 }
 
-/// The unified cross-binary records: one throughput entry per cell, the
-/// scalar path of the same `(n, k)` as the baseline.
-fn records(cells: &[Cell]) -> Vec<Record> {
-    cells
+/// The unified cross-binary records: one throughput entry per cell (the
+/// scalar path of the same `(n, k)` as the batch path's baseline) and one
+/// build-time entry per device count, each a median with its spread.
+fn records(cells: &[Cell], builds: &[Build]) -> Vec<Record> {
+    let mut records: Vec<Record> = cells
         .iter()
         .map(|c| {
-            let name = format!("placements_{}_n{}_k{}", c.mode, c.n, c.k);
+            let record = Record::with_spread(
+                format!("placements_{}_n{}_k{}", c.mode, c.n, c.k),
+                "placements_per_s",
+                &c.rates(),
+            );
+            if c.mode == "scalar" {
+                return record;
+            }
             let scalar = cells
                 .iter()
                 .find(|s| s.n == c.n && s.k == c.k && s.mode == "scalar")
                 .expect("scalar cell present");
-            if c.mode == "scalar" {
-                Record::new(name, "placements_per_s", c.placements_per_s())
-            } else {
-                Record::with_baseline(
-                    name,
-                    "placements_per_s",
-                    c.placements_per_s(),
-                    scalar.placements_per_s(),
-                )
+            Record {
+                baseline: Some(scalar.median_rate()),
+                ..record
             }
         })
-        .collect()
+        .collect();
+    records.extend(
+        builds.iter().map(|b| {
+            Record::with_spread(format!("strategy_build_ms_n{}_k{}", b.n, b.k), "ms", &b.ms)
+        }),
+    );
+    records
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     section(&format!(
-        "Placement throughput — scalar vs batch vs parallel ({threads} thread(s){})",
-        if quick { ", quick mode" } else { "" }
+        "Placement throughput — scalar vs batch, median of {REPS}{}",
+        if quick { " (quick mode)" } else { "" }
     ));
 
     let mut cells = Vec::new();
     for k in [2usize, 3, 4] {
         for n in [16usize, 256, 4096] {
-            cells.extend(measure(n, k, quick, threads));
+            cells.extend(measure(n, k, quick));
         }
     }
 
-    let mut rows = Vec::new();
-    for chunk in cells.chunks(3) {
-        let (scalar, batch, parallel) = (&chunk[0], &chunk[1], &chunk[2]);
-        rows.push(vec![
-            scalar.n.to_string(),
-            scalar.k.to_string(),
-            format!("{:.2}", scalar.placements_per_s() / 1e6),
-            format!("{:.2}", batch.placements_per_s() / 1e6),
-            format!("{:.2}", parallel.placements_per_s() / 1e6),
-            f(batch.placements_per_s() / scalar.placements_per_s()),
-            f(parallel.placements_per_s() / scalar.placements_per_s()),
-        ]);
-    }
-    print_table(
-        &[
-            "n",
-            "k",
-            "scalar M/s",
-            "batch M/s",
-            "parallel M/s",
-            "batch x",
-            "parallel x",
-        ],
-        &rows,
-    );
+    let spread = |c: &Cell| {
+        let (min, median, max) = min_median_max(&c.rates());
+        format!("{:.3} ({:.3}–{:.3})", median / 1e6, min / 1e6, max / 1e6)
+    };
+    let rows: Vec<Vec<String>> = cells
+        .chunks(2)
+        .map(|pair| {
+            let (scalar, batch) = (&pair[0], &pair[1]);
+            vec![
+                scalar.n.to_string(),
+                scalar.k.to_string(),
+                spread(scalar),
+                spread(batch),
+                f(batch.median_rate() / scalar.median_rate()),
+            ]
+        })
+        .collect();
+    print_table(&["n", "k", "scalar M/s", "batch M/s", "batch x"], &rows);
 
-    let json = to_json(&cells, threads, quick);
+    section(&format!(
+        "FastRedundantShare::new — median of {BUILD_REPS} builds"
+    ));
+    let builds: Vec<Build> = BUILD_SIZES.iter().map(|&n| measure_build(n, 2)).collect();
+    let rows: Vec<Vec<String>> = builds
+        .iter()
+        .map(|b| {
+            let (min, median, max) = min_median_max(&b.ms);
+            vec![
+                b.n.to_string(),
+                b.k.to_string(),
+                format!("{median:.3}"),
+                format!("{min:.3}"),
+                format!("{max:.3}"),
+            ]
+        })
+        .collect();
+    print_table(&["n", "k", "median ms", "min ms", "max ms"], &rows);
+
+    let json = to_json(&cells, &builds, quick);
     std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
     println!(
-        "\nwrote BENCH_throughput.json ({} result rows)",
-        cells.len()
+        "\nwrote BENCH_throughput.json ({} result rows, {} builds)",
+        cells.len(),
+        builds.len()
     );
 }

@@ -12,33 +12,23 @@
 //! We realise each structure as an inverse-CDF table ([`CdfTable`]).
 //! Construction costs `O(k · n²)` time and memory (the paper counts this
 //! as `O(k · n · s)` with `s` the per-hash-function memory); queries cost
-//! `O(k · log n)`. An alias table would answer each draw in O(1), but its
+//! `O(k · log n)`. The tables are built once per bin set, serially and in
+//! index order. An alias table would answer each draw in O(1), but its
 //! column/alias layout is discontinuous in the weights: rebuilding it for
-//! a slightly different bin set scrambles which hash values land where,
-//! which would void the adaptivity guarantees the paper's Section 4 is
-//! about. The inverse-CDF draw is monotone in the cumulative
-//! distribution, so a membership or capacity change remaps only balls
-//! whose uniform falls in a shifted boundary region — per transition, the
-//! total-variation distance between the old and new distributions, which
-//! keeps the fast engine's migration competitive like the scan's.
+//! a slightly different bin set scrambles which hash values land where.
+//!
+//! The inverse-CDF draw is monotone, but each table is indexed by bin
+//! *position* in capacity order, so inserting or removing a bin shifts
+//! every boundary after it, and any ball whose uniform draw crosses a
+//! shifted boundary moves. A membership change therefore remaps far more
+//! than the total-variation distance between the old and new
+//! distributions: on perfbench's 64-device `mirror-churn` workload the
+//! engine moves about 22× the fair minimum, where the scan of
+//! [`crate::RedundantShare`] stays within the paper's bounds.
 //!
 //! The sampled joint distribution is identical to the scan's, so fairness
 //! and redundancy carry over exactly; the random bits differ, so the two
 //! variants produce different (but equally distributed) mappings.
-//!
-//! # Construction cost
-//!
-//! The `O(k · n²)` table construction is embarrassingly parallel across
-//! predecessor states, so it is sharded over OS threads
-//! (`std::thread::scope`). On a membership change,
-//! [`FastRedundantShare::rebuild`] additionally reuses the transition
-//! tables of every suffix the change left untouched: each table depends
-//! only on the calibrated model data at indices at or after its start, so
-//! a bitwise suffix comparison (with index shift, for head
-//! insertions/removals) identifies reusable tables, which are shared via
-//! `Arc` instead of reconstructed.
-
-use std::sync::Arc;
 
 use rshare_hash::{stable_hash3, CdfTable};
 
@@ -51,14 +41,11 @@ use crate::strategy::PlacementStrategy;
 const FAST_DOMAIN: u64 = 0x4653_4841_5245_0000; // "FSHARE"
 
 /// Per-predecessor transition structure for one copy level.
-///
-/// Tables are `Arc`-shared so an incremental rebuild can adopt the
-/// unchanged-suffix tables of the previous instance by reference.
 #[derive(Debug, Clone)]
 enum Transition {
     /// Reachable state: inverse-CDF table over the bins after the
     /// predecessor (outcome `t` means absolute index `prev + 1 + t`).
-    Table(Arc<CdfTable>),
+    Table(CdfTable),
     /// The calibrated head weight diverged: the head takes everything.
     AlwaysHead,
     /// State unreachable (not enough bins left for the remaining copies).
@@ -82,9 +69,6 @@ pub struct FastRedundantShare {
     ids: Vec<BinId>,
     k: usize,
     fair: Vec<f64>,
-    /// The calibrated scan model the tables were derived from; kept so an
-    /// incremental [`FastRedundantShare::rebuild`] can compare suffixes.
-    model: ScanModel,
     /// Distribution of the first copy.
     first: Transition,
     /// `scan_levels[k - r]` for r = k-1 … 2: transitions of the scan-placed
@@ -94,48 +78,14 @@ pub struct FastRedundantShare {
     last: Vec<Transition>,
 }
 
-/// Outcome of an incremental [`FastRedundantShare::rebuild`]: how many
-/// per-predecessor transition tables survived the membership change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebuildStats {
-    /// Tables adopted from the previous instance by reference.
-    pub reused: usize,
-    /// Tables constructed from scratch.
-    pub rebuilt: usize,
-}
-
 impl FastRedundantShare {
-    /// Builds the precomputed strategy. The `O(k · n²)` table construction
-    /// is sharded across OS threads.
+    /// Builds the precomputed strategy.
     ///
     /// # Errors
     ///
     /// * [`PlacementError::ZeroReplication`] if `k == 0`.
     /// * [`PlacementError::TooFewBins`] if `k` exceeds the number of bins.
     pub fn new(bins: &BinSet, k: usize) -> Result<Self, PlacementError> {
-        Self::build(bins, k, None).map(|(strategy, _)| strategy)
-    }
-
-    /// Rebuilds the strategy for a changed bin set, keeping `k`, and
-    /// reusing every transition table whose suffix the change left
-    /// untouched (shared by reference, not reconstructed). Tables that
-    /// cannot be reused are rebuilt in parallel.
-    ///
-    /// # Errors
-    ///
-    /// [`PlacementError::TooFewBins`] if `k` now exceeds the number of
-    /// bins.
-    pub fn rebuild(&mut self, bins: &BinSet) -> Result<RebuildStats, PlacementError> {
-        let (next, stats) = Self::build(bins, self.k, Some(self))?;
-        *self = next;
-        Ok(stats)
-    }
-
-    fn build(
-        bins: &BinSet,
-        k: usize,
-        previous: Option<&Self>,
-    ) -> Result<(Self, RebuildStats), PlacementError> {
         if k == 0 {
             return Err(PlacementError::ZeroReplication);
         }
@@ -149,57 +99,52 @@ impl FastRedundantShare {
         let total = model.suffix[0];
         let fair = model.weights.iter().map(|w| k as f64 * w / total).collect();
 
-        // A transition starting at index `start` depends only on the
-        // calibrated model data at indices ≥ start (and the distance to
-        // the end of the bin list). `reuse` maps a new start index to the
-        // old instance's equivalent start, when the suffixes match.
-        let reuse = previous.and_then(|prev| SuffixReuse::detect(&prev.model, &model, k));
-        let reused = std::sync::atomic::AtomicUsize::new(0);
-        let transition = |r: usize, start: usize| -> Transition {
-            if let Some((prev, map)) = previous.zip(reuse.as_ref()) {
-                if let Some(old) = map.old_transition(prev, r, start) {
-                    reused.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    return old;
-                }
-            }
-            if r == 1 {
-                last_transition(&model, start)
-            } else {
-                scan_transition(&model, r, start)
-            }
-        };
-
         // First copy: either the level-k scan start (k >= 2) or a direct
         // placeOneCopy over everything (k == 1).
-        let first = transition(if k >= 2 { k } else { 1 }, 0);
+        let first = if k >= 2 {
+            scan_transition(&model, k, 0)
+        } else {
+            last_transition(&model, 0)
+        };
         // Middle copies placed by the scan: levels r = k-1 … 2, one
-        // transition table per predecessor bin, built in parallel.
+        // transition table per predecessor bin.
         let scan_levels: Vec<Vec<Transition>> = (2..k)
             .rev()
-            .map(|r| par_map(n, |prev| transition(r, prev + 1)))
+            .map(|r| {
+                (0..n)
+                    .map(|prev| scan_transition(&model, r, prev + 1))
+                    .collect()
+            })
             .collect();
         // Last copy: placeOneCopy suffix per predecessor.
         let last: Vec<Transition> = if k >= 2 {
-            par_map(n, |prev| transition(1, prev + 1))
+            (0..n)
+                .map(|prev| last_transition(&model, prev + 1))
+                .collect()
         } else {
             Vec::new()
         };
-        let reused = reused.into_inner();
-        let total_tables = 1 + scan_levels.iter().map(Vec::len).sum::<usize>() + last.len();
-        let stats = RebuildStats {
-            reused,
-            rebuilt: total_tables - reused,
-        };
-        let strategy = Self {
+        Ok(Self {
             ids: bins.bins().iter().map(|b| b.id()).collect(),
             k,
             fair,
-            model,
             first,
             scan_levels,
             last,
-        };
-        Ok((strategy, stats))
+        })
+    }
+
+    /// Replaces the strategy with a fresh [`FastRedundantShare::new`] over
+    /// a changed bin set, keeping `k`, and returns the instance it
+    /// replaced.
+    ///
+    /// # Errors
+    ///
+    /// [`PlacementError::TooFewBins`] if `k` now exceeds the number of
+    /// bins; `self` is then left unchanged.
+    pub fn rebuild(&mut self, bins: &BinSet) -> Result<Self, PlacementError> {
+        let next = Self::new(bins, self.k)?;
+        Ok(std::mem::replace(self, next))
     }
 
     /// Approximate memory footprint of the precomputed tables in bytes —
@@ -212,7 +157,6 @@ impl FastRedundantShare {
                 _ => 0,
             }
         }
-        let f = std::mem::size_of::<f64>();
         t(&self.first)
             + self
                 .scan_levels
@@ -221,13 +165,7 @@ impl FastRedundantShare {
                 .sum::<usize>()
             + self.last.iter().map(t).sum::<usize>()
             + self.ids.len() * std::mem::size_of::<BinId>()
-            + self.fair.len() * f
-            + (self.model.weights.len()
-                + self.model.suffix.len()
-                + self.model.theta.len()
-                + self.model.head_boost.len())
-                * f
-            + self.model.sat_cut.len() * std::mem::size_of::<usize>()
+            + self.fair.len() * std::mem::size_of::<f64>()
     }
 
     fn resolve(&self, trans: &Transition, base: usize, key: u64) -> usize {
@@ -262,114 +200,6 @@ impl FastRedundantShare {
     }
 }
 
-/// Shift-aware bitwise suffix match between the calibrated models of an
-/// old and a new instance.
-///
-/// A transition starting at new index `start ≥ matched_from` reads only
-/// model data that is bit-identical to the old model's data at
-/// `start - shift` (θ rows, head weights, weights, and the distance to the
-/// end of the bin list), so the old table can be adopted unchanged. The
-/// shift handles head insertions/removals, which displace every index but
-/// leave the tail suffix intact.
-struct SuffixReuse {
-    /// `new index − old index` for matched positions (`n_new − n_old`).
-    shift: isize,
-    /// Smallest *new* index from which the suffix data matches.
-    matched_from: usize,
-}
-
-impl SuffixReuse {
-    fn detect(old: &ScanModel, new: &ScanModel, k: usize) -> Option<Self> {
-        if old.k != k {
-            return None;
-        }
-        let n_new = new.weights.len();
-        let shift = n_new as isize - old.weights.len() as isize;
-        let mut matched_from = n_new;
-        while matched_from > 0 {
-            let i = matched_from - 1;
-            let Ok(j) = usize::try_from(i as isize - shift) else {
-                break;
-            };
-            let same = old.weights[j].to_bits() == new.weights[i].to_bits()
-                && old.head_boost[j].to_bits() == new.head_boost[i].to_bits()
-                && (2..=k).all(|r| old.theta(j, r).to_bits() == new.theta(i, r).to_bits());
-            if !same {
-                break;
-            }
-            matched_from = i;
-        }
-        (matched_from < n_new).then_some(Self {
-            shift,
-            matched_from,
-        })
-    }
-
-    /// The old instance's transition for the state equivalent to the new
-    /// `(r, start)`, if that state lies in the matched suffix. `r == 1`
-    /// addresses the last-copy tables, `r == k` the first-copy table.
-    fn old_transition(
-        &self,
-        prev: &FastRedundantShare,
-        r: usize,
-        start: usize,
-    ) -> Option<Transition> {
-        if start < self.matched_from {
-            return None;
-        }
-        let old_start = usize::try_from(start as isize - self.shift).ok()?;
-        if start == 0 || old_start == 0 {
-            // The full-list state additionally depends on index 0 itself;
-            // it is only equivalent when nothing shifted and everything
-            // matched, which `start ≥ matched_from` already guarantees
-            // for start == 0 — but the levels must align too.
-            if start != 0 || old_start != 0 {
-                return None;
-            }
-            let first_level = if prev.k >= 2 { prev.k } else { 1 };
-            return (r == first_level).then(|| prev.first.clone());
-        }
-        let prev_idx = old_start - 1;
-        let table = if r == 1 {
-            prev.last.get(prev_idx)
-        } else if r >= 2 && r < prev.k {
-            prev.scan_levels.get(prev.k - 1 - r)?.get(prev_idx)
-        } else {
-            None
-        };
-        table.cloned()
-    }
-}
-
-/// Maps `f` over `0..len` in index order, sharding across OS threads when
-/// the range is large enough to amortise spawn cost.
-fn par_map<T: Send, F: Fn(usize) -> T + Sync>(len: usize, f: F) -> Vec<T> {
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |v| v.get())
-        .min(len / 16)
-        .max(1);
-    if threads == 1 {
-        return (0..len).map(f).collect();
-    }
-    let chunk = len.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (chunk..len)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(len);
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        // First chunk on the calling thread while workers run.
-        let mut out: Vec<T> = (0..chunk.min(len)).map(f).collect();
-        for handle in handles {
-            out.extend(handle.join().expect("table construction worker panicked"));
-        }
-        out
-    })
-}
-
 /// Distribution of the next scan take at level `r` starting from `start`:
 /// `P[take at j] = θ(j, r) · Π_{start ≤ o < j} (1 - θ(o, r))`.
 fn scan_transition(model: &ScanModel, r: usize, start: usize) -> Transition {
@@ -388,9 +218,7 @@ fn scan_transition(model: &ScanModel, r: usize, start: usize) -> Transition {
             break;
         }
     }
-    Transition::Table(Arc::new(
-        CdfTable::new(&probs).expect("valid scan distribution"),
-    ))
+    Transition::Table(CdfTable::new(&probs).expect("valid scan distribution"))
 }
 
 /// Distribution of the last copy over the suffix starting at `start`, with
@@ -406,7 +234,7 @@ fn last_transition(model: &ScanModel, start: usize) -> Transition {
     }
     let mut w: Vec<f64> = model.weights[start..].to_vec();
     w[0] = boost;
-    Transition::Table(Arc::new(CdfTable::new(&w).expect("valid suffix weights")))
+    Transition::Table(CdfTable::new(&w).expect("valid suffix weights"))
 }
 
 impl PlacementStrategy for FastRedundantShare {
@@ -557,19 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_identity_reuses_every_table() {
-        let set = bins(&[500, 400, 300, 200, 100]);
-        for k in [1usize, 2, 3] {
-            let fresh = FastRedundantShare::new(&set, k).unwrap();
-            let mut rebuilt = fresh.clone();
-            let stats = rebuilt.rebuild(&set).unwrap();
-            assert_eq!(stats.rebuilt, 0, "k={k}: {stats:?}");
-            assert!(stats.reused > 0, "k={k}: {stats:?}");
-            assert_same_placements(&fresh, &rebuilt, 2_000);
-        }
-    }
-
-    #[test]
     fn rebuild_matches_fresh_build_after_any_change() {
         let before = bins(&[500, 400, 300, 200, 100]);
         for (caps, k) in [
@@ -579,30 +394,15 @@ mod tests {
             (vec![400, 400, 400, 100], 2),              // saturated target
         ] {
             let after = bins(&caps);
-            let mut rebuilt = FastRedundantShare::new(&before, k).unwrap();
-            rebuilt.rebuild(&after).unwrap();
+            let original = FastRedundantShare::new(&before, k).unwrap();
+            let mut rebuilt = original.clone();
+            let replaced = rebuilt.rebuild(&after).unwrap();
             let fresh = FastRedundantShare::new(&after, k).unwrap();
             assert_eq!(rebuilt.fair_shares(), fresh.fair_shares(), "caps {caps:?}");
             assert_same_placements(&rebuilt, &fresh, 3_000);
+            // The returned instance is the one replaced, placements intact.
+            assert_eq!(replaced.bin_ids(), original.bin_ids(), "caps {caps:?}");
+            assert_same_placements(&replaced, &original, 3_000);
         }
-    }
-
-    #[test]
-    fn rebuild_reuses_suffix_after_head_insertion() {
-        // Adding a new largest device displaces every index but leaves the
-        // calibrated tail suffix bit-identical, so the shift-aware match
-        // must recover most per-predecessor tables.
-        let before = bins(&[400, 300, 200, 100, 90, 80, 70, 60]);
-        let mut grown: Vec<crate::bins::Bin> = before.bins().to_vec();
-        grown.push(crate::bins::Bin::new(1_000u64, 500).unwrap());
-        let after = BinSet::new(grown).unwrap();
-        let mut strat = FastRedundantShare::new(&before, 3).unwrap();
-        let stats = strat.rebuild(&after).unwrap();
-        assert!(
-            stats.reused > 0,
-            "no tables reused across head insertion: {stats:?}"
-        );
-        let fresh = FastRedundantShare::new(&after, 3).unwrap();
-        assert_same_placements(&strat, &fresh, 3_000);
     }
 }

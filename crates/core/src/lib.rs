@@ -36,11 +36,16 @@
 //! |---|---|---|
 //! | [`LinMirror`] | Algorithms 2 and 3 | k = 2, perfectly fair (Lemma 3.1) |
 //! | [`RedundantShare`] | Algorithm 4 | any k, `O(n)` per query |
-//! | [`FastRedundantShare`] | Section 3.3 | any k, `O(k)` per query |
+//! | [`FastRedundantShare`] | Section 3.3 | any k, `O(k)` per query after an `O(k·n²)` build per bin set |
 //! | [`TrivialReplication`] | Definition 2.3 | the flawed baseline (Lemma 2.4) |
 //! | [`TableBased`] | Section 1 (rejected design) | explicit table; optimal-movement adversary |
 //! | [`DomainPlacement`] | extension (CRUSH-style) | no two copies per failure domain |
 //! | [`SystematicPps`] | — | exact-fairness oracle for validation |
+//!
+//! Every strategy answers queries serially and deterministically: a
+//! placement is a pure function of the bin set, the ball and the copy
+//! index, so [`PlacementStrategy::place_batch_into`] is the scalar query
+//! in a loop and any caller may split a batch across threads itself.
 //!
 //! The capacity theory of Section 2 lives in [`capacity`].
 
@@ -50,7 +55,6 @@
 mod analysis;
 mod bins;
 pub mod capacity;
-mod engine;
 mod error;
 mod fast;
 mod hierarchy;
@@ -64,9 +68,8 @@ mod test_util;
 mod trivial;
 
 pub use bins::{Bin, BinId, BinSet};
-pub use engine::PlacementEngine;
 pub use error::PlacementError;
-pub use fast::{FastRedundantShare, RebuildStats};
+pub use fast::FastRedundantShare;
 pub use hierarchy::{DomainBin, DomainPlacement};
 pub use linmirror::LinMirror;
 pub use pps::SystematicPps;

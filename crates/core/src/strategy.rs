@@ -70,9 +70,8 @@ pub trait PlacementStrategy {
     /// no allocation beyond the strategy's own per-call scratch.
     ///
     /// The default runs the scalar [`PlacementStrategy::place_into`] in a
-    /// loop and is what batched callers (engine shards, the migration
-    /// planner) build on; strategies with cheaper amortised batch paths may
-    /// override it, but must produce identical output.
+    /// loop; strategies with cheaper amortised batch paths may override it,
+    /// but must produce identical output.
     fn place_batch_into(&self, balls: &[u64], out: &mut Vec<BinId>) {
         let k = self.replication();
         out.clear();
@@ -125,6 +124,19 @@ mod tests {
     fn object_safe() {
         let b: Box<dyn PlacementStrategy> = Box::new(Fixed);
         assert_eq!(b.replication(), 2);
+    }
+
+    #[test]
+    fn batch_matches_scalar() {
+        let set = crate::BinSet::from_capacities([500, 400, 300, 200, 100]).unwrap();
+        let strat = crate::RedundantShare::new(&set, 3).unwrap();
+        let balls: Vec<u64> = (0..1_000).map(|b| b * 7 + 3).collect();
+        let mut flat = Vec::new();
+        strat.place_batch_into(&balls, &mut flat);
+        assert_eq!(flat.len(), balls.len() * 3);
+        for (j, &ball) in balls.iter().enumerate() {
+            assert_eq!(&flat[j * 3..(j + 1) * 3], strat.place(ball).as_slice());
+        }
     }
 
     #[test]

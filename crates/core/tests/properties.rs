@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use rshare_core::capacity::{is_capacity_efficient, max_balls, optimal_weights};
 use rshare_core::{
-    Bin, BinSet, FastRedundantShare, PlacementEngine, PlacementStrategy, RedundantShare,
-    SystematicPps, TrivialReplication,
+    Bin, BinSet, FastRedundantShare, PlacementStrategy, RedundantShare, SystematicPps,
+    TrivialReplication,
 };
 
 /// Strategy for a plausible heterogeneous capacity vector.
@@ -173,14 +173,12 @@ proptest! {
     }
 
     #[test]
-    fn batch_and_parallel_match_scalar(
+    fn batch_matches_scalar(
         caps in capacities(),
         seed in any::<u64>(),
-        threads in 2usize..=4,
     ) {
-        // The batch API and the multi-threaded engine are pure
-        // reformulations of the scalar query loop: same placements, bit
-        // for bit, in flat stride-k order.
+        // The batch API is a pure reformulation of the scalar query loop:
+        // same placements, bit for bit, in flat stride-k order.
         let set = BinSet::from_capacities(caps).unwrap();
         let k = (seed as usize % set.len().min(4)) + 1;
         let balls: Vec<u64> = (0..600u64)
@@ -199,13 +197,6 @@ proptest! {
             strat.place_batch_into(&balls, &mut batch);
             prop_assert_eq!(&batch, &expect);
         }
-        // 600 balls over ≥2 threads crosses the engine's parallel
-        // threshold, so this exercises the sharded path.
-        let scan = RedundantShare::new(&set, k).unwrap();
-        let mut expect = Vec::new();
-        scan.place_batch_into(&balls, &mut expect);
-        let engine = PlacementEngine::with_threads(scan, threads);
-        prop_assert_eq!(engine.place_batch(&balls), expect);
     }
 
     #[test]
@@ -214,8 +205,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // Regression: a recycled output buffer with sufficient capacity
-        // must never be reallocated, on either the scalar-batch or the
-        // parallel path.
+        // must never be reallocated.
         let set = BinSet::from_capacities(caps).unwrap();
         let k = (seed as usize % set.len().min(4)) + 1;
         let strat = RedundantShare::new(&set, k).unwrap();
@@ -223,11 +213,10 @@ proptest! {
         let mut out = Vec::with_capacity(balls.len() * k);
         let cap = out.capacity();
         strat.place_batch_into(&balls, &mut out);
-        prop_assert_eq!(out.capacity(), cap, "scalar batch reallocated");
+        prop_assert_eq!(out.capacity(), cap, "batch reallocated");
         let ptr = out.as_ptr();
-        let engine = PlacementEngine::with_threads(strat, 3);
-        engine.place_batch_into(&balls, &mut out);
-        prop_assert_eq!(out.capacity(), cap, "parallel batch reallocated");
-        prop_assert_eq!(out.as_ptr(), ptr, "parallel batch moved the buffer");
+        strat.place_batch_into(&balls, &mut out);
+        prop_assert_eq!(out.capacity(), cap, "reused batch reallocated");
+        prop_assert_eq!(out.as_ptr(), ptr, "reused batch moved the buffer");
     }
 }

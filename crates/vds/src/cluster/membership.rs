@@ -228,9 +228,9 @@ impl StorageCluster {
     /// bulk: old (effective) and candidate placements are resolved a chunk
     /// at a time by [`flat_placement`] and compared slice-against-slice,
     /// so unchanged blocks — the common case under 2–4-competitive churn —
-    /// cost two lookups and one memcmp. The moves are sorted so every
-    /// (source → target) device queue is contiguous
-    /// ([`MigrationPlan::device_queues`]).
+    /// cost two lookups and one memcmp. The moves are sorted by
+    /// `(from, to, lba, copy)`, the documented order of
+    /// [`MigrationPlan::moves`].
     fn plan_against(&self, bins: &BinSet, fair_min_shards: f64) -> Result<MigrationPlan, VdsError> {
         let k = self.redundancy.total_shards();
         let candidate = self.strategy_over(bins)?;
@@ -276,6 +276,7 @@ impl StorageCluster {
 mod tests {
     use crate::cluster::tests::{block, mirror_cluster};
     use crate::error::VdsError;
+    use crate::migration::ShardMove;
 
     #[test]
     fn add_device_migrates_proportionally() {
@@ -440,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_accounting_and_device_queues() {
+    fn plan_accounting_and_move_order() {
         let mut c = mirror_cluster();
         for lba in 0..2_000u64 {
             c.write_block(lba, &block(lba as u8, 64)).unwrap();
@@ -454,15 +455,8 @@ mod tests {
         // Lemma 3.2: the measured competitive ratio stays within 4.
         let ratio = plan.competitive_ratio();
         assert!(ratio > 0.0 && ratio <= 4.0, "ratio {ratio}");
-        // Moves are sorted so device queues are contiguous and exhaustive.
-        let queues = plan.device_queues();
-        let mut seen = std::collections::BTreeSet::new();
-        let mut covered = 0usize;
-        for (from, to, moves) in queues {
-            assert!(seen.insert((from, to)), "queue ({from},{to}) repeated");
-            assert!(moves.iter().all(|m| m.from == from && m.to == to));
-            covered += moves.len();
-        }
-        assert_eq!(covered, plan.moves.len());
+        // Moves are sorted by (from, to, lba, copy), with no duplicates.
+        let key = |m: &ShardMove| (m.from, m.to, m.lba, m.copy);
+        assert!(plan.moves.windows(2).all(|w| key(&w[0]) < key(&w[1])));
     }
 }

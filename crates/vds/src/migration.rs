@@ -3,8 +3,7 @@
 //! A membership change moves data; the paper's adaptivity results (Lemmas
 //! 3.2–3.5) bound *how much*. This module holds the vocabulary for that
 //! machinery: [`MigrationReport`] measures what an executed migration did,
-//! [`MigrationPlan`] is the batched dry-run (what a change *would* move,
-//! grouped so each source→target device queue is contiguous), and
+//! [`MigrationPlan`] is the dry-run (what a change *would* move), and
 //! [`ShardMove`] is the unit both speak in.
 //!
 //! The plan carries enough accounting — planned vs. total blocks and the
@@ -72,10 +71,11 @@ pub struct ShardMove {
 /// operators can inspect the migration volume (per-device inflow,
 /// measured competitive ratio) before committing to a change.
 ///
-/// Placements are diffed in bulk with the stride-k batch API and the
-/// moves are sorted by `(from, to, lba, copy)`, so every (source device →
-/// target device) transfer queue is one contiguous run of the `moves`
-/// vector — see [`MigrationPlan::device_queues`].
+/// Old and candidate placements are resolved a chunk at a time through
+/// the cluster's pending-aware flat placement and diffed slice against
+/// slice. The moves are sorted by `(from, to, lba, copy)`, so every
+/// (source device → target device) transfer is one contiguous run of the
+/// `moves` vector.
 #[derive(Debug, Clone, Default)]
 pub struct MigrationPlan {
     /// Every shard that would change devices, sorted by
@@ -128,27 +128,6 @@ impl MigrationPlan {
             *map.entry(mv.to).or_insert(0u64) += 1;
         }
         map.into_iter().collect()
-    }
-
-    /// The per-(source, target) transfer queues: contiguous sub-slices of
-    /// `moves`, as `(from, to, moves)` in ascending `(from, to)` order.
-    /// Each queue is everything one device streams to one other device,
-    /// so an executor can hand whole queues to per-device workers.
-    #[must_use]
-    pub fn device_queues(&self) -> Vec<(u64, u64, &[ShardMove])> {
-        let mut queues = Vec::new();
-        let mut start = 0;
-        while start < self.moves.len() {
-            let (from, to) = (self.moves[start].from, self.moves[start].to);
-            let mut end = start + 1;
-            while end < self.moves.len() && self.moves[end].from == from && self.moves[end].to == to
-            {
-                end += 1;
-            }
-            queues.push((from, to, &self.moves[start..end]));
-            start = end;
-        }
-        queues
     }
 }
 
@@ -226,31 +205,5 @@ mod tests {
             fair_min_shards: 2.0,
         };
         assert!((plan.competitive_ratio() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn device_queues_are_contiguous_and_exhaustive() {
-        let plan = MigrationPlan {
-            // Already in (from, to, lba, copy) order, as the planner emits.
-            moves: vec![
-                mv(4, 0, 1, 2),
-                mv(9, 1, 1, 2),
-                mv(2, 0, 1, 3),
-                mv(7, 1, 5, 2),
-            ],
-            shards_total: 20,
-            blocks_total: 10,
-            blocks_planned: 4,
-            fair_min_shards: 4.0,
-        };
-        let queues = plan.device_queues();
-        assert_eq!(queues.len(), 3);
-        assert_eq!(queues[0].0, 1);
-        assert_eq!(queues[0].1, 2);
-        assert_eq!(queues[0].2.len(), 2);
-        assert_eq!(queues[1], (1, 3, &plan.moves[2..3]));
-        assert_eq!(queues[2], (5, 2, &plan.moves[3..4]));
-        let total: usize = queues.iter().map(|(_, _, q)| q.len()).sum();
-        assert_eq!(total, plan.moves.len());
     }
 }
